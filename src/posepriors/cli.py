@@ -120,10 +120,7 @@ def _cmd_eval(args) -> int:
         rows = posedata.load_pose_csv(args.data).samples
     if rows.shape[1] != model.dim:
         raise DataError(f"data dim {rows.shape[1]} does not match model dim {model.dim}")
-    if hasattr(model, "log_prob_many"):
-        per_sample = [float(v) for v in model.log_prob_many(rows)]
-    else:
-        per_sample = [model.log_prob(row) for row in rows]
+    per_sample = [float(v) for v in model.log_prob_many(rows)]
     report = {
         "per_sample_log_prob": per_sample,
         "mean_log_prob": sum(per_sample) / len(per_sample),

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .priors import BoxLimitModel, GammaModel, GmmModel, MvnModel, TemporalGmmModel
+from .priors import BoxLimitModel, GammaModel, GmmModel, MvnModel
 from .vae import VaeEnergyPrior
 from . import linalg
 
@@ -45,12 +45,7 @@ def max_relative_error(prior, points: np.ndarray, h: float = 1e-5) -> float:
     """Worst-case relative gradient error over the given in-support points."""
     points = np.asarray(points, dtype=float)
     analytic = np.stack([prior.grad_log_prob(x) for x in points])
-    if hasattr(prior, "log_prob_many"):
-        numeric = _finite_diff_batch(prior, points, h)
-    else:
-        numeric = np.stack(
-            [finite_diff_gradient(prior.log_prob, x, h) for x in points]
-        )
+    numeric = _finite_diff_batch(prior, points, h)
     worst = 0.0
     for ga, gn in zip(analytic, numeric):
         denom = max(1.0, float(np.max(np.abs(ga))), float(np.max(np.abs(gn))))
@@ -64,13 +59,12 @@ def sample_in_support(prior, count: int, seed: int, h: float = 1e-5) -> np.ndarr
     if isinstance(prior, MvnModel):
         eps = rng.standard_normal((count, prior.dim))
         return prior.mean + eps @ prior.chol.lower.T
-    if isinstance(prior, (GmmModel, TemporalGmmModel)):
-        gmm = prior.gmm if isinstance(prior, TemporalGmmModel) else prior
-        comps = rng.choice(gmm.n_components, size=count, p=gmm.weights)
-        chols = [linalg.cholesky(c) for c in gmm.covs]
-        points = np.empty((count, gmm.dim))
+    if isinstance(prior, GmmModel):
+        comps = rng.choice(prior.n_components, size=count, p=prior.weights)
+        chols = [linalg.cholesky(c) for c in prior.covs]
+        points = np.empty((count, prior.dim))
         for row, i in enumerate(comps):
-            points[row] = gmm.means[i] + chols[i].lower @ rng.standard_normal(gmm.dim)
+            points[row] = prior.means[i] + chols[i].lower @ rng.standard_normal(prior.dim)
         return points
     if isinstance(prior, GammaModel):
         draws = rng.gamma(prior.alpha, 1.0 / prior.beta, (count, prior.dim))

@@ -64,15 +64,9 @@ def model_to_doc(model) -> dict:
             "sign": [int(s) for s in model.sign],
             "shift": model.shift,
         }
-    elif isinstance(model, TemporalGmmModel):
-        model_type, dim = "temporal_gmm", model.dim
-        params = {
-            "weights": model.gmm.weights,
-            "means": model.gmm.means,
-            "covs": model.gmm.covs,
-        }
     elif isinstance(model, GmmModel):
-        model_type, dim = "gmm", model.dim
+        model_type = "temporal_gmm" if isinstance(model, TemporalGmmModel) else "gmm"
+        dim = model.dim
         params = {"weights": model.weights, "means": model.means, "covs": model.covs}
     elif isinstance(model, BoxLimitModel):
         model_type, dim = "box", model.dim
@@ -123,13 +117,13 @@ def model_from_doc(doc: dict):
                 fit_meta=dict(meta),
             )
         if model_type in ("gmm", "temporal_gmm"):
-            gmm = GmmModel(
+            cls = TemporalGmmModel if model_type == "temporal_gmm" else GmmModel
+            return cls(
                 weights=params["weights"],
                 means=params["means"],
                 covs=params["covs"],
                 fit_meta=dict(meta),
             )
-            return TemporalGmmModel(gmm=gmm) if model_type == "temporal_gmm" else gmm
         if model_type == "box":
             return BoxLimitModel(
                 lo=params["lo"],

@@ -1,10 +1,14 @@
 """Closed-form pose prior families behind one contract.
 
-Every fitted model exposes log_prob(x) -> float and grad_log_prob(x) ->
+Every prior subclasses PosePrior and exposes log_prob_many(xs) -> (n,)
+values for an (n, d) batch, log_prob(x) -> float and grad_log_prob(x) ->
 vector, everything in log space (a raw 66-dimensional Gaussian PDF
-underflows float64). Families: soft box limits, multivariate normal,
-per-dimension gamma with sign/shift, Gaussian mixtures fit by EM, and a
-temporal mixture over (dt, dtheta) motion deltas.
+underflows float64). A family implements only log_prob_many and
+grad_log_prob; PosePrior.log_prob is log_prob_many on one row, so the
+single-point and batched values agree exactly. Families: soft box limits,
+multivariate normal, per-dimension gamma with sign/shift, Gaussian
+mixtures fit by EM, and a temporal mixture over (dt, dtheta) motion
+deltas.
 """
 
 from __future__ import annotations
@@ -44,12 +48,23 @@ def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
         return np.log(np.sum(np.exp(a - m), axis=axis)) + np.squeeze(m, axis=axis)
 
 
+class PosePrior:
+    """Base of every prior: log_prob is log_prob_many on a single row.
+
+    Subclasses provide dim, log_prob_many(xs) over an (n, dim) batch and
+    grad_log_prob(x) at one point.
+    """
+
+    def log_prob(self, x) -> float:
+        return float(self.log_prob_many(_check_vec(x, self.dim)[None])[0])
+
+
 # ---------------------------------------------------------------------------
 # Multivariate normal
 
 
 @dataclass
-class MvnModel:
+class MvnModel(PosePrior):
     """Gaussian over pose vectors; covariance kept with its Cholesky factor."""
 
     mean: np.ndarray
@@ -60,12 +75,6 @@ class MvnModel:
     @property
     def dim(self) -> int:
         return self.mean.shape[0]
-
-    def log_prob(self, x) -> float:
-        x = _check_vec(x, self.dim)
-        z = x - self.mean
-        q = float(z @ linalg.chol_solve(self.chol, z))
-        return -0.5 * (self.dim * LOG_2PI + self.chol.log_det + q)
 
     def log_prob_many(self, xs) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
@@ -116,7 +125,7 @@ def fit_mvn(data) -> MvnModel:
 
 
 @dataclass
-class GammaModel:
+class GammaModel(PosePrior):
     """Independent gamma per dimension with sign and shift.
 
     Support per dimension is sign * (x - shift) > 0. Queries outside the
@@ -149,16 +158,6 @@ class GammaModel:
     def dim(self) -> int:
         return self.alpha.shape[0]
 
-    def _support_coords(self, x) -> np.ndarray:
-        return self.sign * (x - self.shift)
-
-    def log_prob(self, x) -> float:
-        x = _check_vec(x, self.dim)
-        y = self._support_coords(x)
-        if np.any(y <= 0.0):
-            return float("-inf")
-        return self._log_norm + float(np.sum((self.alpha - 1.0) * np.log(y) - self.beta * y))
-
     def log_prob_many(self, xs) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
         y = self.sign * (xs - self.shift)
@@ -173,7 +172,7 @@ class GammaModel:
 
     def grad_log_prob(self, x) -> np.ndarray:
         x = _check_vec(x, self.dim)
-        y = self._support_coords(x)
+        y = self.sign * (x - self.shift)
         if np.any(y <= 0.0):
             raise ValueError("point is on or outside the gamma support boundary")
         return self.sign * ((self.alpha - 1.0) / y - self.beta)
@@ -227,7 +226,7 @@ def fit_gamma(data, margin: float = 1e-6) -> GammaModel:
 
 
 @dataclass
-class GmmModel:
+class GmmModel(PosePrior):
     """Mixture of full-covariance Gaussians; weights kept normalized."""
 
     weights: np.ndarray
@@ -241,7 +240,12 @@ class GmmModel:
         self.covs = np.asarray(self.covs, dtype=float)
         if np.any(self.weights <= 0.0):
             raise ValueError("mixture weights must be positive")
-        self.weights = self.weights / self.weights.sum()
+        total = self.weights.sum()
+        # Normalizing is not idempotent in floating point: weights that
+        # already sum to one up to rounding are kept bit for bit, so a saved
+        # mixture loads back with the weights it was written with.
+        if abs(total - 1.0) > self.weights.size * np.finfo(float).eps:
+            self.weights = self.weights / total
         self._chols = [linalg.cholesky(c) for c in self.covs]
         self._log_w = np.log(self.weights)
 
@@ -253,18 +257,6 @@ class GmmModel:
     def dim(self) -> int:
         return self.means.shape[1]
 
-    def _component_log_joint(self, x: np.ndarray) -> np.ndarray:
-        out = np.empty(self.n_components)
-        for i, chol in enumerate(self._chols):
-            z = x - self.means[i]
-            q = float(z @ linalg.chol_solve(chol, z))
-            out[i] = self._log_w[i] - 0.5 * (self.dim * LOG_2PI + chol.log_det + q)
-        return out
-
-    def log_prob(self, x) -> float:
-        x = _check_vec(x, self.dim)
-        return float(_logsumexp(self._component_log_joint(x), axis=0))
-
     def log_prob_many(self, xs) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
         comp = np.empty((xs.shape[0], self.n_components))
@@ -275,22 +267,30 @@ class GmmModel:
             comp[:, i] = self._log_w[i] - 0.5 * (self.dim * LOG_2PI + chol.log_det + q)
         return _logsumexp(comp, axis=1)
 
+    def _solve_components(self, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+        """Responsibilities at x and the k solved vectors Sigma_i^-1 (x - mu_i)."""
+        solved = []
+        log_joint = np.empty(self.n_components)
+        for i, chol in enumerate(self._chols):
+            z = x - self.means[i]
+            solved.append(linalg.chol_solve(chol, z))
+            q = float(z @ solved[i])
+            log_joint[i] = self._log_w[i] - 0.5 * (self.dim * LOG_2PI + chol.log_det + q)
+        return np.exp(log_joint - _logsumexp(log_joint, axis=0)), solved
+
     def responsibilities(self, x) -> np.ndarray:
-        x = _check_vec(x, self.dim)
-        lj = self._component_log_joint(x)
-        return np.exp(lj - _logsumexp(lj, axis=0))
+        return self._solve_components(_check_vec(x, self.dim))[0]
 
     def grad_log_prob(self, x) -> np.ndarray:
-        x = _check_vec(x, self.dim)
-        r = self.responsibilities(x)
+        r, solved = self._solve_components(_check_vec(x, self.dim))
         grad = np.zeros(self.dim)
-        for i, chol in enumerate(self._chols):
-            grad -= r[i] * linalg.chol_solve(chol, x - self.means[i])
+        for i, y in enumerate(solved):
+            grad -= r[i] * y
         return grad
 
     def mode(self) -> np.ndarray:
         # Approximate: the component mean with the highest mixture density.
-        best = int(np.argmax([self.log_prob(m) for m in self.means]))
+        best = int(np.argmax(self.log_prob_many(self.means)))
         return self.means[best].copy()
 
     def mean_vector(self) -> np.ndarray:
@@ -387,12 +387,16 @@ def fit_gmm_em(data, k: int, seed: int = 0, reg: float = 1e-6, tol: float = 1e-8
             covs[i] = linalg.symmetrize(s) + reg * eye
             chols[i] = linalg.cholesky(covs[i])
 
-    model = GmmModel(weights=weights, means=means, covs=covs)
+    # GmmModel would keep nk / n as given (it sums to one up to rounding);
+    # dividing here keeps the fitted weights, and so the model JSON, the
+    # same bits as files written by earlier versions.
+    model = GmmModel(weights=weights / weights.sum(), means=means, covs=covs)
     model.fit_meta.update(
         seed=seed,
         jitter=max(c.jitter_applied for c in model._chols),
         iterations=len(trace),
-        final_loglik=trace[-1],
+        # Stopped at max_iter, the last trace entry predates the final M-step.
+        final_loglik=trace[-1] if converged else float(np.sum(model.log_prob_many(x))),
         converged=converged,
         reg=reg,
         loglik_trace=trace,
@@ -404,37 +408,11 @@ def fit_gmm_em(data, k: int, seed: int = 0, reg: float = 1e-6, tol: float = 1e-8
 # Temporal mixture over motion deltas
 
 
-@dataclass
-class TemporalGmmModel:
+class TemporalGmmModel(GmmModel):
     """GMM over stacked (dt, dtheta) vectors of dimension 1 + D."""
-
-    gmm: GmmModel
-
-    @property
-    def dim(self) -> int:
-        return self.gmm.dim
-
-    @property
-    def fit_meta(self) -> dict:
-        return self.gmm.fit_meta
-
-    def log_prob(self, x) -> float:
-        return self.gmm.log_prob(x)
-
-    def log_prob_many(self, xs) -> np.ndarray:
-        return self.gmm.log_prob_many(xs)
-
-    def grad_log_prob(self, x) -> np.ndarray:
-        return self.gmm.grad_log_prob(x)
 
     def log_prob_delta(self, delta: TemporalDelta) -> float:
         return self.log_prob(delta.stacked())
-
-    def mode(self) -> np.ndarray:
-        return self.gmm.mode()
-
-    def mean_vector(self) -> np.ndarray:
-        return self.gmm.mean_vector()
 
 
 def stack_deltas(deltas) -> np.ndarray:
@@ -447,9 +425,9 @@ def stack_deltas(deltas) -> np.ndarray:
 def fit_temporal_gmm(deltas, k: int, seed: int = 0, reg: float = 1e-6,
                      tol: float = 1e-8, max_iter: int = 500) -> TemporalGmmModel:
     """Stack each delta as (dt, dtheta) and fit the mixture over those rows."""
-    rows = stack_deltas(deltas)
-    return TemporalGmmModel(gmm=fit_gmm_em(rows, k, seed=seed, reg=reg, tol=tol,
-                                           max_iter=max_iter))
+    gmm = fit_gmm_em(stack_deltas(deltas), k, seed=seed, reg=reg, tol=tol, max_iter=max_iter)
+    return TemporalGmmModel(weights=gmm.weights, means=gmm.means, covs=gmm.covs,
+                            fit_meta=gmm.fit_meta)
 
 
 # ---------------------------------------------------------------------------
@@ -457,7 +435,7 @@ def fit_temporal_gmm(deltas, k: int, seed: int = 0, reg: float = 1e-6,
 
 
 @dataclass
-class BoxLimitModel:
+class BoxLimitModel(PosePrior):
     """Soft joint-angle box: quadratic log-penalty outside [lo, hi] per dim.
 
     log_prob is an unnormalized log-density (0 inside the box), C^1 at the
@@ -485,11 +463,6 @@ class BoxLimitModel:
 
     def _violations(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return np.maximum(0.0, x - self.hi), np.maximum(0.0, self.lo - x)
-
-    def log_prob(self, x) -> float:
-        x = _check_vec(x, self.dim)
-        over, under = self._violations(x)
-        return -self.stiffness * float(np.sum(over**2 + under**2))
 
     def log_prob_many(self, xs) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)

@@ -22,6 +22,7 @@ import numpy as np
 
 from . import linalg
 from .posedata import axis_angle_to_matrices, matrices_to_axis_angle
+from .priors import PosePrior
 
 LOGVAR_CLAMP = 10.0
 
@@ -611,6 +612,18 @@ def _rodrigues_vjp(omega: np.ndarray, rot: np.ndarray, g_rot: np.ndarray) -> np.
     return out
 
 
+def _latent_mean(model: VaeModel, p: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
+    """Rodrigues map and encoder forward pass of one pose.
+
+    Returns the per-joint rotations, the latent mean and the encoder cache.
+    """
+    if p.shape != (model.pose_dim,):
+        raise ValueError(f"pose has shape {p.shape}, expected ({model.pose_dim},)")
+    rot = axis_angle_to_matrices(p)
+    out, cache = mlp_forward(model.encoder, rot.reshape(-1))
+    return rot, out[: model.latent_dim], cache
+
+
 def vae_prior_energy(model: VaeModel, p) -> tuple[float, np.ndarray]:
     """Squared latent-mean norm of a pose, with its gradient.
 
@@ -619,12 +632,7 @@ def vae_prior_energy(model: VaeModel, p) -> tuple[float, np.ndarray]:
     chained through the encoder and the Rodrigues map.
     """
     p = np.asarray(p, dtype=float)
-    if p.shape != (model.pose_dim,):
-        raise ValueError(f"pose has shape {p.shape}, expected ({model.pose_dim},)")
-    rot = axis_angle_to_matrices(p)
-    x = rot.reshape(-1)
-    out, cache = mlp_forward(model.encoder, x)
-    mu = out[: model.latent_dim]
+    rot, mu, cache = _latent_mean(model, p)
     energy = float(mu @ mu)
     g_out = np.concatenate([2.0 * mu, np.zeros(model.latent_dim)])
     _, g_x = mlp_backward(model.encoder, cache, g_out)
@@ -636,10 +644,11 @@ def vae_prior_energy(model: VaeModel, p) -> tuple[float, np.ndarray]:
     return energy, grad
 
 
-class VaeEnergyPrior:
-    """Adapter holding a VaeModel to the log_prob / grad_log_prob contract.
+class VaeEnergyPrior(PosePrior):
+    """Adapter holding a VaeModel to the PosePrior contract.
 
-    log_prob is the negated latent energy (an unnormalized log-density).
+    log_prob is the negated latent energy (an unnormalized log-density);
+    log_prob_many runs only the forward pass, one pose at a time.
     """
 
     def __init__(self, model: VaeModel):
@@ -649,8 +658,13 @@ class VaeEnergyPrior:
     def dim(self) -> int:
         return self.model.pose_dim
 
-    def log_prob(self, x) -> float:
-        return -vae_prior_energy(self.model, x)[0]
+    def log_prob_many(self, xs) -> np.ndarray:
+        xs = np.asarray(xs, dtype=float)
+        out = np.empty(xs.shape[0])
+        for row, x in enumerate(xs):
+            mu = _latent_mean(self.model, x)[1]
+            out[row] = -float(mu @ mu)
+        return out
 
     def grad_log_prob(self, x) -> np.ndarray:
         return -vae_prior_energy(self.model, x)[1]

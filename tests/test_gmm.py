@@ -60,6 +60,14 @@ class TestFitGmmEm:
         with pytest.raises(ValueError):
             fit_gmm_em(two_cluster_data(n_per=10), 0, seed=0)
 
+    def test_capped_fit_reports_returned_models_loglik(self):
+        x = two_cluster_data(n_per=300)
+        gmm = fit_gmm_em(x, 2, seed=0, max_iter=3)
+        assert gmm.fit_meta["converged"] is False
+        assert gmm.fit_meta["final_loglik"] == pytest.approx(
+            float(np.sum(gmm.log_prob_many(x))), rel=1e-12
+        )
+
     def test_deterministic_per_seed(self):
         x = two_cluster_data(n_per=300)
         a = fit_gmm_em(x, 2, seed=11)

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -87,6 +89,23 @@ class TestRoundTrip:
         a = vae.total_loss(model, r, seed=4)
         b = vae.total_loss(loaded, r, seed=4)
         assert a == b
+
+
+class TestEarlierFiles:
+    """tests/data holds one small model file per model_type, written by an
+    earlier version of the library; the current one must re-save each of
+    them byte for byte."""
+
+    DATA = Path(__file__).parent / "data"
+
+    @pytest.mark.parametrize("name", ["mvn", "gmm", "gamma", "box", "temporal_gmm", "vae"])
+    def test_resave_reproduces_bytes(self, name):
+        path = self.DATA / f"{name}.json"
+        again = modelio.canonical_dumps(modelio.model_to_doc(modelio.load_model(path)))
+        assert again == path.read_text(encoding="utf-8")
+
+    def test_temporal_file_loads_as_temporal(self):
+        assert isinstance(modelio.load_model(self.DATA / "temporal_gmm.json"), TemporalGmmModel)
 
 
 class TestErrors:
