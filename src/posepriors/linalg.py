@@ -1,16 +1,16 @@
 """Dense symmetric linear algebra kernel.
 
-Cyclic Jacobi eigendecomposition, lower Cholesky factorization with an
-escalating diagonal-jitter retry policy, and triangular solves. Sized
-for pose-covariance work (n up to a few hundred). All routines are pure
-functions over float64 ndarrays; inputs are symmetrized defensively so
-callers may pass the raw output of a covariance accumulation.
+LAPACK (numpy.linalg) Cholesky with an escalating diagonal-jitter retry
+policy and solves through the cached inverse factor; symmetric eigen by
+LAPACK, or by cyclic Jacobi for the VAE's 3x3 blocks and as the tests'
+reference. Pure functions over float64 ndarrays; inputs are symmetrized
+defensively so callers may pass the raw output of a covariance accumulation.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -38,6 +38,16 @@ class EigenDecomp:
     eigenvalues: np.ndarray
 
 
+def _canonical_eigen(eigenvalues: np.ndarray, basis: np.ndarray) -> EigenDecomp:
+    """Sort eigenpairs descending; flip each column so its largest-magnitude
+    entry is non-negative, which makes the principal axes deterministic."""
+    order = np.argsort(-eigenvalues, kind="stable")
+    basis = basis[:, order]
+    peak = basis[np.argmax(np.abs(basis), axis=0), np.arange(basis.shape[1])]
+    return EigenDecomp(basis=np.where(peak < 0.0, -basis, basis),
+                       eigenvalues=eigenvalues[order])
+
+
 @dataclass(frozen=True)
 class CholFactor:
     """Lower-triangular factor L with L @ L.T equal to the (jittered) input.
@@ -45,11 +55,16 @@ class CholFactor:
     log_det is the log-determinant of the factored matrix, i.e.
     2 * sum(log(diag(L))). jitter_applied records the diagonal shift that
     was needed to reach positive definiteness (0.0 for healthy input).
+    inverse is L^-1, computed once so every solve is a matrix product.
     """
 
     lower: np.ndarray
     log_det: float
     jitter_applied: float
+    inverse: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "inverse", np.tril(np.linalg.inv(self.lower)))
 
     @property
     def n(self) -> int:
@@ -62,7 +77,7 @@ def jacobi_eigen(a, tol: float = 1e-12) -> EigenDecomp:
     Sweeps rotate away off-diagonal entries until the largest one drops
     below ``tol``. Eigenpairs come back sorted by descending eigenvalue,
     and each basis column is flipped so its largest-magnitude entry is
-    non-negative, which makes the first principal component deterministic.
+    non-negative, as eigh returns them.
 
     Raises NumericalError if 100 sweeps do not converge.
     """
@@ -71,12 +86,8 @@ def jacobi_eigen(a, tol: float = 1e-12) -> EigenDecomp:
     d = symmetrize(a)
     n = d.shape[0]
     v = np.eye(n)
-
-    if n == 1:
-        return EigenDecomp(basis=v, eigenvalues=d[0, :1].copy())
-
     iu = np.triu_indices(n, k=1)
-    off = float(np.max(np.abs(d[iu])))
+    off = float(np.max(np.abs(d[iu]), initial=0.0))
     for _ in range(_MAX_SWEEPS):
         if off < tol:
             break
@@ -106,37 +117,19 @@ def jacobi_eigen(a, tol: float = 1e-12) -> EigenDecomp:
                 vq = v[:, q].copy()
                 v[:, p] = c * vp - s * vq
                 v[:, q] = s * vp + c * vq
-        off = float(np.max(np.abs(d[iu])))
+        off = float(np.max(np.abs(d[iu]), initial=0.0))
     else:
         raise NumericalError(
             f"jacobi_eigen did not converge after {_MAX_SWEEPS} sweeps; "
             f"max off-diagonal magnitude {off:.3e}"
         )
-
-    eigenvalues = np.diag(d).copy()
-    order = np.argsort(-eigenvalues, kind="stable")
-    eigenvalues = eigenvalues[order]
-    basis = v[:, order]
-    for j in range(n):
-        k = int(np.argmax(np.abs(basis[:, j])))
-        if basis[k, j] < 0.0:
-            basis[:, j] = -basis[:, j]
-    return EigenDecomp(basis=basis, eigenvalues=eigenvalues)
+    return _canonical_eigen(np.diag(d).copy(), v)
 
 
-def _chol_attempt(a: np.ndarray, jitter: float) -> np.ndarray | None:
-    n = a.shape[0]
-    aj = a if jitter == 0.0 else a + jitter * np.eye(n)
-    lower = np.zeros_like(aj)
-    for j in range(n):
-        pivot = aj[j, j] - lower[j, :j] @ lower[j, :j]
-        if not (pivot > 0.0) or not math.isfinite(pivot):
-            return None
-        ljj = math.sqrt(pivot)
-        lower[j, j] = ljj
-        if j + 1 < n:
-            lower[j + 1 :, j] = (aj[j + 1 :, j] - lower[j + 1 :, :j] @ lower[j, :j]) / ljj
-    return lower
+def eigh(a) -> EigenDecomp:
+    """Symmetric eigendecomposition by LAPACK, ordered and signed as jacobi_eigen."""
+    eigenvalues, basis = np.linalg.eigh(symmetrize(a))
+    return _canonical_eigen(eigenvalues, basis)
 
 
 def cholesky(a, base_jitter: float = 1e-10) -> CholFactor:
@@ -150,15 +143,17 @@ def cholesky(a, base_jitter: float = 1e-10) -> CholFactor:
     a = symmetrize(a)
     jitters = [0.0] + [base_jitter * 10.0**k for k in range(_JITTER_ESCALATIONS)]
     for jitter in jitters:
-        lower = _chol_attempt(a, jitter)
-        if lower is not None:
-            log_det = 2.0 * float(np.sum(np.log(np.diag(lower))))
-            return CholFactor(lower=lower, log_det=log_det, jitter_applied=jitter)
+        try:
+            lower = np.linalg.cholesky(a + jitter * np.eye(a.shape[0]))
+        except np.linalg.LinAlgError:
+            continue
+        log_det = 2.0 * float(np.sum(np.log(np.diag(lower))))
+        return CholFactor(lower=lower, log_det=log_det, jitter_applied=jitter)
     raise NumericalError("matrix not positive definite")
 
 
 def chol_solve(f: CholFactor, b) -> np.ndarray:
-    """Solve (L @ L.T) y = b by forward then backward substitution."""
+    """Solve (L @ L.T) y = b as L^-T (L^-1 b)."""
     b = np.asarray(b, dtype=float)
     if b.shape != (f.n,):
         raise ValueError(f"rhs has shape {b.shape}, expected ({f.n},)")
@@ -167,15 +162,7 @@ def chol_solve(f: CholFactor, b) -> np.ndarray:
 
 def chol_solve_many(f: CholFactor, b: np.ndarray) -> np.ndarray:
     """Column-wise chol_solve for an (n, m) right-hand-side block."""
-    lower = f.lower
-    n = f.n
     b = np.asarray(b, dtype=float)
-    if b.ndim != 2 or b.shape[0] != n:
-        raise ValueError(f"rhs block has shape {b.shape}, expected ({n}, m)")
-    y = np.empty_like(b)
-    for i in range(n):
-        y[i] = (b[i] - lower[i, :i] @ y[:i]) / lower[i, i]
-    x = np.empty_like(b)
-    for i in range(n - 1, -1, -1):
-        x[i] = (y[i] - lower[i + 1 :, i] @ x[i + 1 :]) / lower[i, i]
-    return x
+    if b.ndim != 2 or b.shape[0] != f.n:
+        raise ValueError(f"rhs block has shape {b.shape}, expected ({f.n}, m)")
+    return f.inverse.T @ (f.inverse @ b)

@@ -71,8 +71,7 @@ def fit_pca(data, dims=None) -> PcaModel:
         x = x[:, dims]
     mean = x.mean(axis=0)
     centered = x - mean
-    cov = linalg.symmetrize(centered.T @ centered / (x.shape[0] - 1))
-    eig = linalg.jacobi_eigen(cov)
+    eig = linalg.eigh(centered.T @ centered / (x.shape[0] - 1))
     eigenvalues = eig.eigenvalues.copy()
     if np.any(eigenvalues < -1e-10):
         raise ValueError("covariance has a significantly negative eigenvalue")

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from posepriors import linalg
 from posepriors.errors import NumericalError
@@ -57,6 +59,25 @@ class TestJacobiEigen:
     def test_rejects_bad_tol(self):
         with pytest.raises(ValueError):
             linalg.jacobi_eigen(np.eye(2), tol=0.0)
+
+
+def _random_symmetric(rng, n):
+    """Q diag(lam) Q.T with |lam| in [1, n + 1] and gaps of at least 0.5."""
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    lam = (1.0 + np.arange(n) + rng.uniform(0.0, 0.5, n)) * rng.choice([-1.0, 1.0], n)
+    return (q * lam) @ q.T
+
+
+class TestEighAgainstJacobi:
+    @pytest.mark.parametrize("n", [2, 3, 8, 20, 66])
+    def test_same_eigenpairs_and_signs(self, n):
+        rng = np.random.default_rng(100 + n)
+        for _ in range(3):
+            a = _random_symmetric(rng, n)
+            ref = linalg.jacobi_eigen(a)
+            got = linalg.eigh(a)
+            np.testing.assert_allclose(got.eigenvalues, ref.eigenvalues, rtol=1e-12, atol=0.0)
+            np.testing.assert_allclose(got.basis, ref.basis, rtol=0.0, atol=1e-10)
 
 
 class TestCholesky:
@@ -143,6 +164,54 @@ class TestCholSolve:
         got = linalg.chol_solve_many(f, block)
         for j in range(3):
             np.testing.assert_allclose(got[:, j], linalg.chol_solve(f, block[:, j]))
+
+
+CHOL_PROPERTY = settings(max_examples=10, derandomize=True, deadline=None, database=None)
+sizes = st.integers(1, 12)
+seeds = st.integers(0, 2**32 - 1)
+
+
+def _spd(seed, n):
+    b = np.random.default_rng(seed).standard_normal((n, n))
+    return b @ b.T + n * np.eye(n)
+
+
+class TestCholFactorProperties:
+    @CHOL_PROPERTY
+    @given(sizes, seeds)
+    def test_inverse_inverts_lower(self, n, seed):
+        f = linalg.cholesky(_spd(seed, n))
+        np.testing.assert_allclose(f.inverse @ f.lower, np.eye(n), rtol=0.0, atol=1e-12)
+
+    @CHOL_PROPERTY
+    @given(sizes, seeds, st.integers(1, 5))
+    def test_solve_many_matches_numpy_solve(self, n, seed, m):
+        a = _spd(seed, n)
+        b = np.random.default_rng(seed + 1).standard_normal((n, m))
+        got = linalg.chol_solve_many(linalg.cholesky(a), b)
+        np.testing.assert_allclose(got, np.linalg.solve(a, b), rtol=1e-10, atol=1e-12)
+
+    @CHOL_PROPERTY
+    @given(sizes, seeds)
+    def test_direct_construction_exposes_inverse(self, n, seed):
+        lower = np.linalg.cholesky(_spd(seed, n))
+        f = linalg.CholFactor(lower=lower, log_det=2.0 * np.log(np.diag(lower)).sum(),
+                              jitter_applied=0.0)
+        assert np.array_equal(f.inverse, np.tril(f.inverse))
+        np.testing.assert_allclose(f.inverse @ lower, np.eye(n), rtol=0.0, atol=1e-12)
+
+    @CHOL_PROPERTY
+    @given(st.lists(st.integers(-9, 9), min_size=1, max_size=8), st.integers(0, 3),
+           st.sampled_from([1.0, -1.0]))
+    def test_rank_one_needs_jitter(self, rest, k, sign):
+        # A power-of-two lead entry keeps every pivot exact: the zero pivot
+        # of the rank-1 matrix is exactly zero under any LAPACK blocking.
+        v = np.array([sign * 2.0**k] + rest, dtype=float)
+        a = np.outer(v, v)
+        f = linalg.cholesky(a, base_jitter=1e-10)
+        assert f.jitter_applied > 0.0
+        target = a + f.jitter_applied * np.eye(v.size)
+        assert np.abs(f.lower @ f.lower.T - target).max() < 1e-8 * np.abs(a).max()
 
 
 def test_symmetrize_rejects_nonsquare():
