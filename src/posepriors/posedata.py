@@ -3,7 +3,8 @@
 Pose vectors are flat float64 arrays of axis-angle components in radians,
 three per joint. This module covers the CSV formats, a seeded synthetic
 dataset generator that stands in for motion-capture corpora, Rodrigues
-conversion between axis-angle vectors and rotation matrices, and the
+conversion between flat axis-angle pose vectors and (J, 3, 3) rotation
+stacks (input checks here, the batched kernels in `rotations`), and the
 extraction of frame-to-frame motion deltas.
 """
 
@@ -16,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import rotations
 from .errors import DataError
 
 CSV_MARKER = "# pose-csv v1"
@@ -319,59 +321,12 @@ def synth_generate(spec: SynthSpec, seed: int | None = None) -> PoseDataset:
 # ---------------------------------------------------------------------------
 # Axis-angle <-> rotation matrices
 
-_TINY_ANGLE = 1e-12
-
-
-def _skew(u: np.ndarray) -> np.ndarray:
-    return np.array(
-        [
-            [0.0, -u[2], u[1]],
-            [u[2], 0.0, -u[0]],
-            [-u[1], u[0], 0.0],
-        ]
-    )
-
-
 def axis_angle_to_matrices(p) -> np.ndarray:
     """Rodrigues map from a flat axis-angle pose vector to (J, 3, 3) rotations."""
     p = np.asarray(p, dtype=float)
     if p.ndim != 1 or p.shape[0] % 3 != 0:
         raise ValueError("pose vector length must be a multiple of 3")
-    joints = p.reshape(-1, 3)
-    out = np.empty((joints.shape[0], 3, 3))
-    for j, omega in enumerate(joints):
-        theta = float(np.linalg.norm(omega))
-        if theta < _TINY_ANGLE:
-            out[j] = np.eye(3)
-            continue
-        k = _skew(omega / theta)
-        out[j] = np.eye(3) + math.sin(theta) * k + (1.0 - math.cos(theta)) * (k @ k)
-    return out
-
-
-def _single_matrix_to_axis_angle(r: np.ndarray) -> np.ndarray:
-    c = min(max((float(np.trace(r)) - 1.0) / 2.0, -1.0), 1.0)
-    angle = math.acos(c)
-    if angle < 1e-8:
-        return np.zeros(3)
-    w = np.array([r[2, 1] - r[1, 2], r[0, 2] - r[2, 0], r[1, 0] - r[0, 1]])
-    w_norm = float(np.linalg.norm(w))  # equals 2 sin(angle) for a rotation
-    if w_norm > 2e-6:
-        # Normalizing w directly sidesteps the poorly conditioned
-        # sin(arccos(c)) near angle = pi.
-        axis = w / w_norm
-    else:
-        # Near pi the skew part degenerates; take the dominant column of
-        # (R + I) / 2, which approaches the outer product of the axis.
-        b = (r + np.eye(3)) / 2.0
-        k = int(np.argmax(np.diag(b)))
-        axis = b[:, k] / math.sqrt(max(b[k, k], 1e-300))
-        axis = axis / np.linalg.norm(axis)
-        if float(w @ axis) < 0.0:
-            axis = -axis
-        elif np.all(w == 0.0) and axis[int(np.argmax(np.abs(axis)))] < 0.0:
-            axis = -axis
-    return angle * axis
+    return rotations.exp(p.reshape(-1, 3))
 
 
 def matrices_to_axis_angle(r, orth_tol: float = 1e-6) -> np.ndarray:
@@ -379,15 +334,14 @@ def matrices_to_axis_angle(r, orth_tol: float = 1e-6) -> np.ndarray:
     r = np.asarray(r, dtype=float)
     if r.ndim != 3 or r.shape[1:] != (3, 3):
         raise ValueError("expected an array of shape (J, 3, 3)")
-    out = np.empty(r.shape[0] * 3)
-    for j, mat in enumerate(r):
-        err = float(np.linalg.norm(mat @ mat.T - np.eye(3)))
-        if err >= orth_tol:
-            raise ValueError(f"matrix {j} is not orthonormal (deviation {err:.3e})")
-        if np.linalg.det(mat) < 0.0:
-            raise ValueError(f"matrix {j} is a reflection, not a rotation")
-        out[3 * j : 3 * j + 3] = _single_matrix_to_axis_angle(mat)
-    return out
+    err = np.linalg.norm(r @ np.swapaxes(r, 1, 2) - np.eye(3), axis=(1, 2))
+    bad = (err >= orth_tol) | (rotations.det3(r) < 0.0)
+    if np.any(bad):
+        j = int(np.argmax(bad))
+        if err[j] >= orth_tol:
+            raise ValueError(f"matrix {j} is not orthonormal (deviation {err[j]:.3e})")
+        raise ValueError(f"matrix {j} is a reflection, not a rotation")
+    return rotations.log(r).reshape(-1)
 
 
 # ---------------------------------------------------------------------------

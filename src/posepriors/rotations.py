@@ -1,0 +1,99 @@
+"""Batched rotation kernels: axis-angle (..., 3) <-> rotation matrices (..., 3, 3).
+
+Every kernel works elementwise over the leading axes, so a stack of poses
+gives, bit for bit, the results of the same call made one pose at a time.
+The coefficients A = sin t / t, B = (1 - cos t) / t^2 and
+C = (t - sin t) / t^3 switch to their Taylor series below _SERIES_ANGLE,
+where the closed forms divide zero by zero or lose digits to cancellation.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+_SERIES_ANGLE = 1e-3  # the series below are exact to 2e-22 relative here
+
+
+def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    return u[..., 0] * v[..., 0] + u[..., 1] * v[..., 1] + u[..., 2] * v[..., 2]
+
+
+def _coefficients(theta: np.ndarray):
+    """A, B, C of the exponential map and its Jacobian at angles theta."""
+    t2 = theta * theta
+    small = theta < _SERIES_ANGLE
+    t = np.where(small, 1.0, theta)
+    half = np.sin(0.5 * t) / t  # B = 2 (sin(t/2) / t)^2 does not cancel
+    a = np.where(small, 1.0 - t2 / 6.0 * (1.0 - t2 / 20.0), np.sin(t) / t)
+    b = np.where(small, 0.5 - t2 / 24.0 * (1.0 - t2 / 30.0), 2.0 * half * half)
+    c = np.where(small, (1.0 - t2 / 20.0 * (1.0 - t2 / 42.0)) / 6.0, (t - np.sin(t)) / t**3)
+    return a, b, c
+
+
+def exp(w) -> np.ndarray:
+    """Rodrigues map R = I + A [w]x + B [w]x^2, with [w]x^2 = w w^T - t^2 I."""
+    w = np.asarray(w, dtype=float)
+    skew = np.cross(np.eye(3), w[..., None, :])  # row i of [w]x is e_i x w
+    t2 = _dot(w, w)[..., None, None]
+    a, b, _ = _coefficients(np.sqrt(t2))
+    return np.eye(3) + a * skew + b * (w[..., :, None] * w[..., None, :] - t2 * np.eye(3))
+
+
+def log(r) -> np.ndarray:
+    """Inverse Rodrigues map; angles in [0, pi].
+
+    The angle is atan2(|v| / 2, (tr R - 1) / 2) with v = vee(R - R^T) =
+    2 sin(t) k, accurate at both ends. Up to pi / 2 the axis is v / |v|.
+    Beyond it, where v fades, the axis is the dominant column of the
+    symmetric part (R + R^T) / 2 - cos(t) I = (1 - cos t) k k^T, signed to
+    agree with v; with v = 0 (t = pi) its largest entry is made positive.
+    """
+    r = np.asarray(r, dtype=float)
+    v = np.stack([r[..., 2, 1] - r[..., 1, 2], r[..., 0, 2] - r[..., 2, 0],
+                  r[..., 1, 0] - r[..., 0, 1]], axis=-1)
+    s = 0.5 * np.sqrt(_dot(v, v))
+    c = 0.5 * (r[..., 0, 0] + r[..., 1, 1] + r[..., 2, 2] - 1.0)
+    theta = np.arctan2(s, c)
+    w = v * np.divide(theta, 2.0 * s, out=np.full_like(s, 0.5), where=s > 0.0)[..., None]
+    far = c < 0.0
+    if np.any(far):
+        rf, vf = r[far], v[far]
+        sym = 0.5 * (rf + np.swapaxes(rf, -1, -2)) - c[far][:, None, None] * np.eye(3)
+        rows = np.arange(len(rf))
+        col = sym[rows, :, np.argmax(np.diagonal(sym, axis1=-2, axis2=-1), axis=-1)]
+        axis = col / np.sqrt(_dot(col, col))[:, None]
+        flip = (_dot(vf, axis) < 0.0) | (
+            np.all(vf == 0.0, axis=-1) & (axis[rows, np.argmax(np.abs(axis), axis=-1)] < 0.0)
+        )
+        w[far] = theta[far][:, None] * np.where(flip[:, None], -axis, axis)
+    return w
+
+
+def exp_vjp(w, r, g) -> np.ndarray:
+    """Pull a gradient g on R = exp(w) back to w.
+
+    The derivative of the exponential map (Gallego & Yezzi, J. Math.
+    Imaging Vis. 2015) gives g_w = (w (w.a) + (I - R)^T (a x w)) / t^2
+    with a = vee(G R^T - R G^T) = sum_b R e_b x G e_b. Expanded, that is
+    A a - B (w x a) + C w (w.a), which tends to a at t = 0.
+    """
+    w = np.asarray(w, dtype=float)
+    cols = np.cross(np.swapaxes(r, -1, -2), np.swapaxes(g, -1, -2))
+    a_vec = cols[..., 0, :] + cols[..., 1, :] + cols[..., 2, :]
+    a, b, c = _coefficients(np.sqrt(_dot(w, w))[..., None])
+    return a * a_vec - b * np.cross(w, a_vec) + c * _dot(w, a_vec)[..., None] * w
+
+
+def det3(m) -> np.ndarray:
+    """Cofactor determinant of a (..., 3, 3) stack."""
+    return (
+        m[..., 0, 0] * (m[..., 1, 1] * m[..., 2, 2] - m[..., 1, 2] * m[..., 2, 1])
+        - m[..., 0, 1] * (m[..., 1, 0] * m[..., 2, 2] - m[..., 1, 2] * m[..., 2, 0])
+        + m[..., 0, 2] * (m[..., 1, 0] * m[..., 2, 1] - m[..., 1, 1] * m[..., 2, 0])
+    )
+
+
+def det3_grad(m) -> np.ndarray:
+    """Gradient of det3: row i is the cross product of the other two rows."""
+    m0, m1, m2 = m[..., 0, :], m[..., 1, :], m[..., 2, :]
+    return np.stack([np.cross(m1, m2), np.cross(m2, m0), np.cross(m0, m1)], axis=-2)

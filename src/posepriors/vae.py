@@ -10,7 +10,8 @@ inference-time decoding project it to the nearest rotation.
 
 The trained encoder doubles as a pose prior: the squared norm of the
 latent mean is an energy that is low for poses resembling the training
-set, with an exact gradient chained through the Rodrigues map.
+set, with an exact gradient chained through the closed-form VJP of the
+batched Rodrigues map in `rotations`.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import linalg
-from .posedata import axis_angle_to_matrices, matrices_to_axis_angle
+from . import linalg, rotations
+from .posedata import matrices_to_axis_angle
 from .priors import PosePrior
 
 LOGVAR_CLAMP = 10.0
@@ -284,18 +285,10 @@ def orth_loss(r_hat) -> float:
     return float(np.sum(gram**2))
 
 
-def _det3(m: np.ndarray) -> float:
-    return (
-        m[0, 0] * (m[1, 1] * m[2, 2] - m[1, 2] * m[2, 1])
-        - m[0, 1] * (m[1, 0] * m[2, 2] - m[1, 2] * m[2, 0])
-        + m[0, 2] * (m[1, 0] * m[2, 1] - m[1, 1] * m[2, 0])
-    )
-
-
 def det1_loss(r_hat) -> float:
     """Sum over joints of |det(R) - 1|, via cofactor expansion."""
     r = np.asarray(r_hat, dtype=float)
-    return float(sum(abs(_det3(m) - 1.0) for m in r))
+    return float(sum(np.abs(rotations.det3(r) - 1.0)))  # in joint order, unlike np.sum
 
 
 def reg_loss(pose_equiv) -> float:
@@ -321,7 +314,7 @@ def _project_joint(a: np.ndarray):
     m = linalg.symmetrize(a.T @ a)
     eig = linalg.jacobi_eigen(m)
     sigma = np.sqrt(np.maximum(eig.eigenvalues, 0.0))
-    s = 1.0 if _det3(a) >= 0.0 else -1.0
+    s = 1.0 if rotations.det3(a) >= 0.0 else -1.0
     h = np.array([sigma[0], sigma[1], s * sigma[2]])
     h = np.where(np.abs(h) < _H_FLOOR, np.where(h < 0.0, -_H_FLOOR, _H_FLOOR), h)
     v = eig.basis
@@ -422,12 +415,6 @@ class VaeGradients:
     loss: VaeLossBreakdown
 
 
-def _det_grad(m: np.ndarray) -> np.ndarray:
-    return np.stack(
-        [np.cross(m[1], m[2]), np.cross(m[2], m[0]), np.cross(m[0], m[1])]
-    )
-
-
 def _backward_pass(model: VaeModel, state: dict) -> VaeGradients:
     w = model.loss_weights
     r_hat = state["r_hat"]
@@ -440,10 +427,9 @@ def _backward_pass(model: VaeModel, state: dict) -> VaeGradients:
     g_rhat += w.w_rec * 2.0 * (r_hat - x.reshape(r_hat.shape))
     gram = np.einsum("jab,jcb->jac", r_hat, r_hat) - np.eye(3)
     g_rhat += w.w_orth * 4.0 * np.einsum("jab,jbc->jac", gram, r_hat)
-    for j, m in enumerate(r_hat):
-        det_sign = math.copysign(1.0, _det3(m) - 1.0) if _det3(m) != 1.0 else 0.0
-        g_rhat[j] += w.w_det1 * det_sign * _det_grad(m)
-        g_rhat[j] += w.w_reg * state["reg_grads"][j]
+    det_sign = np.sign(rotations.det3(r_hat) - 1.0)
+    g_rhat += (w.w_det1 * det_sign)[:, None, None] * rotations.det3_grad(r_hat)
+    g_rhat += w.w_reg * np.stack(state["reg_grads"])
 
     dec_grads, g_z = mlp_backward(model.decoder, state["dec_cache"], g_rhat.reshape(-1))
 
@@ -527,7 +513,7 @@ def train(model: VaeModel, data, cfg: TrainConfig):
     n = samples.shape[0]
     if cfg.batch_size > n:
         raise ValueError("batch_size exceeds the sample count")
-    rotations = np.stack([axis_angle_to_matrices(p) for p in samples])
+    rots = rotations.exp(samples.reshape(n, model.n_joints, 3))
 
     trained = model.copy()
     rng = np.random.default_rng(cfg.seed)
@@ -543,7 +529,7 @@ def train(model: VaeModel, data, cfg: TrainConfig):
             acc = _zero_grads(trained.encoder) + _zero_grads(trained.decoder)
             for idx in batch:
                 eps = rng.standard_normal(trained.latent_dim)
-                grads = _backward_pass(trained, _forward_pass(trained, rotations[idx], eps))
+                grads = _backward_pass(trained, _forward_pass(trained, rots[idx], eps))
                 _accumulate(acc, grads.encoder + grads.decoder)
                 bd = grads.loss
                 sums += (bd.l_kl, bd.l_rec, bd.l_orth, bd.l_det1, bd.l_reg, bd.l_total)
@@ -578,77 +564,32 @@ def write_loss_trace(trace, path) -> None:
 # Latent energy as a pose prior
 
 
-def _rodrigues_vjp(omega: np.ndarray, rot: np.ndarray, g_rot: np.ndarray) -> np.ndarray:
-    """Pull a gradient on R back to the axis-angle vector omega.
-
-    Uses dR/dw_i = ((w_i [w]x + [(w x ((I - R) e_i))]x) / |w|^2) R, which
-    degrades gracefully to [e_i]x at the origin.
-    """
-    theta2 = float(omega @ omega)
-    out = np.empty(3)
-    if theta2 < 1e-14:
-        return np.array(
-            [g_rot[2, 1] - g_rot[1, 2], g_rot[0, 2] - g_rot[2, 0], g_rot[1, 0] - g_rot[0, 1]]
-        )
-    skew_w = np.array(
-        [
-            [0.0, -omega[2], omega[1]],
-            [omega[2], 0.0, -omega[0]],
-            [-omega[1], omega[0], 0.0],
-        ]
-    )
-    eye_minus_r = np.eye(3) - rot
-    for i in range(3):
-        vec = np.cross(omega, eye_minus_r[:, i])
-        skew_v = np.array(
-            [
-                [0.0, -vec[2], vec[1]],
-                [vec[2], 0.0, -vec[0]],
-                [-vec[1], vec[0], 0.0],
-            ]
-        )
-        d_rot = ((omega[i] * skew_w + skew_v) / theta2) @ rot
-        out[i] = float(np.sum(g_rot * d_rot))
-    return out
-
-
-def _latent_mean(model: VaeModel, p: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
-    """Rodrigues map and encoder forward pass of one pose.
-
-    Returns the per-joint rotations, the latent mean and the encoder cache.
-    """
-    if p.shape != (model.pose_dim,):
-        raise ValueError(f"pose has shape {p.shape}, expected ({model.pose_dim},)")
-    rot = axis_angle_to_matrices(p)
-    out, cache = mlp_forward(model.encoder, rot.reshape(-1))
-    return rot, out[: model.latent_dim], cache
-
-
 def vae_prior_energy(model: VaeModel, p) -> tuple[float, np.ndarray]:
     """Squared latent-mean norm of a pose, with its gradient.
 
     The trained KL term pulls plausible poses toward latent mean zero, so
     this energy is small on poses resembling the training set. Gradient is
-    chained through the encoder and the Rodrigues map.
+    chained through the encoder and the closed-form VJP of the Rodrigues
+    map.
     """
     p = np.asarray(p, dtype=float)
-    rot, mu, cache = _latent_mean(model, p)
-    energy = float(mu @ mu)
+    if p.shape != (model.pose_dim,):
+        raise ValueError(f"pose has shape {p.shape}, expected ({model.pose_dim},)")
+    w = p.reshape(-1, 3)
+    rot = rotations.exp(w)
+    out, cache = mlp_forward(model.encoder, rot.reshape(-1))
+    mu = out[: model.latent_dim]
     g_out = np.concatenate([2.0 * mu, np.zeros(model.latent_dim)])
     _, g_x = mlp_backward(model.encoder, cache, g_out)
-    g_rot = g_x.reshape(model.n_joints, 3, 3)
-    grad = np.empty(model.pose_dim)
-    joints = p.reshape(-1, 3)
-    for j in range(model.n_joints):
-        grad[3 * j : 3 * j + 3] = _rodrigues_vjp(joints[j], rot[j], g_rot[j])
-    return energy, grad
+    return float(mu @ mu), rotations.exp_vjp(w, rot, g_x.reshape(rot.shape)).reshape(-1)
 
 
 class VaeEnergyPrior(PosePrior):
     """Adapter holding a VaeModel to the PosePrior contract.
 
     log_prob is the negated latent energy (an unnormalized log-density);
-    log_prob_many runs only the forward pass, one pose at a time.
+    log_prob_many maps all poses to rotations at once, then runs the
+    encoder forward pass one pose at a time.
     """
 
     def __init__(self, model: VaeModel):
@@ -660,9 +601,12 @@ class VaeEnergyPrior(PosePrior):
 
     def log_prob_many(self, xs) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
-        out = np.empty(xs.shape[0])
-        for row, x in enumerate(xs):
-            mu = _latent_mean(self.model, x)[1]
+        if xs.shape[1:] != (self.dim,):
+            raise ValueError(f"pose has shape {xs.shape[1:]}, expected ({self.dim},)")
+        rots = rotations.exp(xs.reshape(len(xs), self.model.n_joints, 3))
+        out = np.empty(len(xs))
+        for row, rot in enumerate(rots):
+            mu = mlp_forward(self.model.encoder, rot.reshape(-1))[0][: self.model.latent_dim]
             out[row] = -float(mu @ mu)
         return out
 

@@ -236,6 +236,14 @@ class TestDeltas:
         assert wrap_angle(-math.pi) == pytest.approx(math.pi)
         assert wrap_angle(3 * math.pi / 2) == pytest.approx(-math.pi / 2)
 
+    def test_wrap_edge_values_pinned(self):
+        for x in (math.pi, -math.pi, 3 * math.pi, -3 * math.pi, np.nextafter(-math.pi, -4.0)):
+            assert wrap_angle(x) == math.pi
+        # One ulp above pi rounds to the float -pi, just outside (-pi, pi].
+        assert wrap_angle(np.nextafter(math.pi, 4.0)) == -3.141592653589793
+        zero = wrap_angle(-0.0)
+        assert zero == 0.0 and math.copysign(1.0, zero) == 1.0
+
     def test_count_preserved(self):
         rng = np.random.default_rng(23)
         n = 17

@@ -1,0 +1,80 @@
+"""Property tests of the batched rotation kernels near 0, near pi and in between.
+
+Hypothesis runs derandomized, so the suite stays deterministic and fast.
+"""
+
+import math
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from posepriors import rotations
+
+PROPERTY = settings(max_examples=100, derandomize=True, deadline=None, database=None)
+
+axes = (
+    st.tuples(*[st.floats(-1.0, 1.0)] * 3)
+    .map(np.array)
+    .filter(lambda a: np.linalg.norm(a) > 0.1)
+    .map(lambda a: a / np.linalg.norm(a))
+)
+tiny = st.floats(-12.0, -2.0).map(lambda e: 10.0**e)  # log-uniform in [1e-12, 1e-2]
+seeds = st.integers(0, 2**32 - 1)
+
+
+def _round_trip_error(w, allow_flip=False):
+    back = rotations.log(rotations.exp(w))
+    err = np.linalg.norm(back - w)
+    if allow_flip:  # w and -w are the same rotation at pi
+        err = min(err, np.linalg.norm(back + w))
+    return err / np.linalg.norm(w)
+
+
+@PROPERTY
+@given(axes, tiny)
+def test_round_trip_near_zero(axis, theta):
+    assert _round_trip_error(theta * axis) <= 1e-12
+
+
+@PROPERTY
+@given(axes, st.one_of(st.just(0.0), tiny))
+def test_round_trip_near_pi(axis, delta):
+    w = (math.pi - delta) * axis
+    assert _round_trip_error(w, allow_flip=delta == 0.0) <= 1e-12
+
+
+@PROPERTY
+@given(axes, st.one_of(tiny, st.floats(1e-2, math.pi - 1e-2)), seeds)
+@example(np.array([0.6, 0.0, 0.8]), 1e-7, 0)
+def test_exp_vjp_matches_central_differences(axis, theta, seed):
+    w = theta * axis
+    g = np.random.default_rng(seed).uniform(-1.0, 1.0, (3, 3))
+    h = 1e-5
+    fd = np.empty(3)
+    for i in range(3):
+        e = np.zeros(3)
+        e[i] = h
+        fd[i] = (np.sum(g * rotations.exp(w + e)) - np.sum(g * rotations.exp(w - e))) / (2 * h)
+    assert np.abs(rotations.exp_vjp(w, rotations.exp(w), g) - fd).max() <= 1e-9
+
+
+@PROPERTY
+@given(st.integers(1, 4), st.integers(1, 6), seeds)
+def test_stack_matches_one_pose_at_a_time(n, joints, seed):
+    rng = np.random.default_rng(seed)
+    axis = rng.standard_normal((n, joints, 3))
+    axis /= np.linalg.norm(axis, axis=-1, keepdims=True)
+    angles = rng.choice([0.0, 1e-9, 1e-3, 1.0, 2.0, math.pi - 1e-9, math.pi], (n, joints, 1))
+    w = axis * angles
+    r = rotations.exp(w)
+    g = rng.standard_normal((n, joints, 3, 3))
+    back = rotations.log(r)
+    vjp = rotations.exp_vjp(w, r, g)
+    det_r, det_g = rotations.det3(r), rotations.det3(g)
+    for i in range(n):
+        assert np.array_equal(r[i], rotations.exp(w[i]))
+        assert np.array_equal(back[i], rotations.log(r[i]))
+        assert np.array_equal(vjp[i], rotations.exp_vjp(w[i], r[i], g[i]))
+        assert np.array_equal(det_r[i], rotations.det3(r[i]))
+        assert np.array_equal(det_g[i], rotations.det3(g[i]))

@@ -47,9 +47,11 @@ def _commands(root: Path, out: Path) -> list[list[str]]:
         ["train-vae", "--data", small, "--epochs", "1", "--batch", "8", "--latent", "4",
          "--hidden", "16,16", "--seed", "2", "--out", str(out / "vae.json")],
     ]
-    for family in ("gmm", "mvn"):
+    for family in ("gmm", "mvn", "vae"):
         cmds.append(["eval", "--model", str(out / f"{family}.json"), "--data", poses,
                      "--out", str(out / f"eval-{family}.json")])
+    cmds.append(["grad-check", "--model", str(out / "vae.json"), "--count", "20", "--seed", "3",
+                 "--out", str(out / "gradcheck-vae.json")])
     return cmds
 
 
@@ -74,6 +76,6 @@ def test_cli_outputs_identical_for_one_and_two_blas_threads(tmp_path):
     one, two = _run(tmp_path, 1), _run(tmp_path, 2)
     names = sorted(p.name for p in one.iterdir())
     assert names == sorted(p.name for p in two.iterdir())
-    assert len(names) == 11
+    assert len(names) == 13
     differ = [n for n in names if (one / n).read_bytes() != (two / n).read_bytes()]
     assert differ == []
