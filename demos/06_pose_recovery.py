@@ -1,7 +1,7 @@
 """Priors as regularizers: recover a pose from noisy observations.
 ==================================================================
 
-Gradient descent on a Gaussian data term plus the negated prior
+L-BFGS on a Gaussian data term plus the negated prior
 log-probability. The prior keeps the estimate away from physically
 impossible configurations and fills in unobserved dimensions.
 """

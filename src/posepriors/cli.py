@@ -216,6 +216,8 @@ def _cmd_recover(args) -> int:
         "objective_trace": result.objective_trace,
         "iterations_used": result.iterations_used,
         "converged": result.converged,
+        "stop_reason": result.stop_reason,
+        "grad_inf_norm": result.grad_inf_norm,
     }
     _emit(report, args.out)
     return 0

@@ -1,14 +1,18 @@
 """Pose recovery from noisy observations, regularized by a prior.
 
 Minimizes a Gaussian data term plus the negated prior log-probability by
-gradient descent with backtracking line search. The Gaussian data term
-makes the multivariate-normal case solvable in closed form, which the
-tests use as an oracle.
+L-BFGS (Liu & Nocedal, Math. Prog. 1989): the two-loop recursion over the
+last ten curvature pairs turns the gradient into a quasi-Newton direction,
+and a backtracking line search accepts a trial point only if the
+objective strictly decreases. The Gaussian data term makes the
+multivariate-normal case solvable in closed form, which the tests use as
+an oracle.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,6 +20,7 @@ import numpy as np
 from .errors import NumericalError
 
 _MAX_HALVINGS = 30
+_MEMORY = 10  # curvature pairs kept
 
 
 @dataclass
@@ -48,35 +53,78 @@ class Observation:
 
 @dataclass
 class RecoveryResult:
+    """Outcome of `recover_pose`.
+
+    stop_reason is "grad_tol" (the gradient infinity-norm fell below tol),
+    "stalled" (no step along the search direction decreased the objective,
+    which happens at float precision) or "max_iter" (the gradient budget
+    ran out). converged is stop_reason == "grad_tol". grad_inf_norm is the
+    infinity-norm of the last gradient computed.
+    """
+
     estimate: np.ndarray
     objective_trace: list
     iterations_used: int
     converged: bool
+    stop_reason: str
+    grad_inf_norm: float
 
 
-def _initial_point(obs: Observation, prior, lam: float) -> np.ndarray:
+def _initial_point(obs: Observation, prior, objective) -> tuple[np.ndarray, float]:
+    """The observation with free dims from the prior's mode, and its objective.
+
+    If the prior gives that point zero probability (infinite objective), the
+    free dims retry from the prior's mean.
+    """
     x = obs.values.copy()
     free = ~obs.mask
     if np.any(free):
         mode_fn = getattr(prior, "mode", None)
         x[free] = mode_fn()[free] if mode_fn is not None else 0.0
-    if lam > 0.0 and prior.log_prob(x) == float("-inf"):
+    fx = objective(x)
+    if fx == math.inf:
         mean_fn = getattr(prior, "mean_vector", None)
         if mean_fn is not None and np.any(free):
             x[free] = mean_fn()[free]
-        if prior.log_prob(x) == float("-inf"):
+            fx = objective(x)
+        if fx == math.inf:
             raise NumericalError("prior assigns zero probability at every initialization")
-    return x
+    return x, fx
+
+
+def _lbfgs_direction(g: np.ndarray, pairs) -> np.ndarray:
+    """-H g by the two-loop recursion over (s, y, 1 / s.y) pairs, oldest first.
+
+    The initial inverse Hessian is s.y / y.y times the identity, from the
+    newest pair.
+    """
+    q = g.copy()
+    alphas = []
+    for s, y, rho in reversed(pairs):
+        alphas.append(rho * float(s @ q))
+        q -= alphas[-1] * y
+    s, y, _ = pairs[-1]
+    q *= float(s @ y) / float(y @ y)
+    for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
+        q += (alpha - rho * float(y @ q)) * s
+    return -q
 
 
 def recover_pose(obs: Observation, prior, lam: float, max_iter: int = 500,
                  step: float = 1.0, tol: float = 1e-6) -> RecoveryResult:
     """Minimize sum_masked (x_d - obs_d)^2 / (2 sigma^2) - lam * log_prob(x).
 
-    Each iteration starts at the configured step and halves it until the
-    objective strictly decreases (at most 30 halvings), so the objective
-    trace is non-increasing by construction. Stops when the gradient
-    infinity-norm drops below tol or the iteration budget runs out.
+    Each iteration computes one gradient; max_iter bounds their number. The
+    search direction is L-BFGS's, and its line search starts at unit step.
+    While the curvature memory is empty (the first iteration, and after the
+    memory was cleared because the L-BFGS direction was not a descent
+    direction), the search goes along the negated gradient starting at
+    `step`. A curvature pair is kept only if s.y > 1e-12 |s| |y|. Every
+    trial step is halved until the objective strictly decreases (at most 30
+    halvings), so the objective trace is non-increasing by construction.
+    The run stops when the gradient infinity-norm drops below tol
+    ("grad_tol"), when no halving decreases the objective ("stalled") or
+    when the budget runs out ("max_iter"); see `RecoveryResult`.
     """
     if lam < 0.0:
         raise ValueError("lam must be non-negative")
@@ -104,30 +152,42 @@ def recover_pose(obs: Observation, prior, lam: float, max_iter: int = 500,
             g -= lam * prior.grad_log_prob(x)
         return g
 
-    x = _initial_point(obs, prior, lam)
-    fx = objective(x)
+    x, fx = _initial_point(obs, prior, objective)
     trace = [fx]
-    converged = False
-    iterations = 0
-    for it in range(1, max_iter + 1):
-        iterations = it
+    pairs = deque(maxlen=_MEMORY)
+    s = g_prev = None
+    stop_reason = "max_iter"
+    for iterations in range(1, max_iter + 1):
         g = gradient(x)
-        if float(np.max(np.abs(g))) < tol:
-            converged = True
+        grad_inf_norm = float(np.max(np.abs(g)))
+        if grad_inf_norm < tol:
+            stop_reason = "grad_tol"
             break
-        t = step
-        accepted = False
+        if s is not None:
+            y = g - g_prev
+            sy = float(s @ y)
+            if sy > 1e-12 * float(np.linalg.norm(s)) * float(np.linalg.norm(y)):
+                pairs.append((s, y, 1.0 / sy))
+        d = _lbfgs_direction(g, pairs) if pairs else None
+        if d is None or float(g @ d) >= 0.0:
+            pairs.clear()
+            d, t = -g, step
+        else:
+            t = 1.0
         for _ in range(_MAX_HALVINGS + 1):
-            candidate = x - t * g
+            candidate = x + t * d
             fc = objective(candidate)
             if fc < fx:
-                x, fx = candidate, fc
-                trace.append(fx)
-                accepted = True
                 break
             t /= 2.0
-        if not accepted:
+        else:
+            stop_reason = "stalled"
             break
+        s, g_prev = candidate - x, g
+        x, fx = candidate, fc
+        trace.append(fx)
     return RecoveryResult(
-        estimate=x, objective_trace=trace, iterations_used=iterations, converged=converged
+        estimate=x, objective_trace=trace, iterations_used=iterations,
+        converged=stop_reason == "grad_tol", stop_reason=stop_reason,
+        grad_inf_norm=grad_inf_norm,
     )

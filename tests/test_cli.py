@@ -219,6 +219,26 @@ class TestRecover:
         assert report["estimate"] == values
         assert report["iterations_used"] == 1
 
+    def test_report_states_stop_reason(self, workdir, capsys):
+        model_path = workdir / "m.json"
+        assert main(["fit", "--model", "mvn", "--data", str(workdir / "d.csv"),
+                     "--out", str(model_path)]) == 0
+        obs_path = workdir / "obs.json"
+        obs_path.write_text(json.dumps({"values": [0.5, -0.9, 0.0, 0.2, 0.1, -0.3],
+                                        "noise_sigma": 0.3}))
+        argv = ["recover", "--obs", str(obs_path), "--model", str(model_path)]
+        reports = []
+        for extra in ([], ["--max-iter", "1"]):
+            assert main(argv + extra) == 0
+            text = capsys.readouterr().out
+            assert main(argv + extra) == 0
+            assert capsys.readouterr().out == text
+            reports.append(json.loads(text))
+        assert reports[0]["stop_reason"] == "grad_tol" and reports[0]["converged"]
+        assert reports[0]["grad_inf_norm"] < 1e-6
+        assert reports[1]["stop_reason"] == "max_iter" and not reports[1]["converged"]
+        assert reports[1]["grad_inf_norm"] >= 1e-6
+
     def test_malformed_obs_is_data_error(self, workdir):
         data = workdir / "d.csv"
         model_path = workdir / "m.json"

@@ -52,6 +52,9 @@ def _commands(root: Path, out: Path) -> list[list[str]]:
                      "--out", str(out / f"eval-{family}.json")])
     cmds.append(["grad-check", "--model", str(out / "vae.json"), "--count", "20", "--seed", "3",
                  "--out", str(out / "gradcheck-vae.json")])
+    for family in ("mvn", "gmm"):
+        cmds.append(["recover", "--obs", str(root / "obs.json"), "--model",
+                     str(out / f"{family}.json"), "--out", str(out / f"recover-{family}.json")])
     return cmds
 
 
@@ -73,9 +76,13 @@ def test_cli_outputs_identical_for_one_and_two_blas_threads(tmp_path):
     dims = [KINDS[i % len(KINDS)] for i in range(66)]
     (tmp_path / "spec.json").write_text(json.dumps({"dims": dims, "count": 3000}))
     (tmp_path / "small.json").write_text(json.dumps({"dims": dims, "count": 16}))
+    # One 66-d observation with the first joint (three angles) occluded.
+    values = [0.05 * ((7 * i) % 11 - 5) for i in range(66)]
+    (tmp_path / "obs.json").write_text(json.dumps(
+        {"values": values, "noise_sigma": 0.2, "mask": [i >= 3 for i in range(66)]}))
     one, two = _run(tmp_path, 1), _run(tmp_path, 2)
     names = sorted(p.name for p in one.iterdir())
     assert names == sorted(p.name for p in two.iterdir())
-    assert len(names) == 13
+    assert len(names) == 15
     differ = [n for n in names if (one / n).read_bytes() != (two / n).read_bytes()]
     assert differ == []
