@@ -2,9 +2,9 @@
 
 LAPACK (numpy.linalg) Cholesky with an escalating diagonal-jitter retry
 policy and solves through the cached inverse factor; symmetric eigen by
-LAPACK, or by cyclic Jacobi for the VAE's 3x3 blocks and as the tests'
-reference. Pure functions over float64 ndarrays; inputs are symmetrized
-defensively so callers may pass the raw output of a covariance accumulation.
+LAPACK, with cyclic Jacobi kept as the tests' reference. Pure functions
+over float64 ndarrays; inputs are symmetrized defensively so callers may
+pass the raw output of a covariance accumulation.
 """
 
 from __future__ import annotations

@@ -39,21 +39,30 @@ def exp(w) -> np.ndarray:
     return np.eye(3) + a * skew + b * (w[..., :, None] * w[..., None, :] - t2 * np.eye(3))
 
 
-def log(r) -> np.ndarray:
-    """Inverse Rodrigues map; angles in [0, pi].
+def angle(r):
+    """Rotation angle t = atan2(|v| / 2, (tr R - 1) / 2), with v = vee(R - R^T).
 
-    The angle is atan2(|v| / 2, (tr R - 1) / 2) with v = vee(R - R^T) =
-    2 sin(t) k, accurate at both ends. Up to pi / 2 the axis is v / |v|.
-    Beyond it, where v fades, the axis is the dominant column of the
-    symmetric part (R + R^T) / 2 - cos(t) I = (1 - cos t) k k^T, signed to
-    agree with v; with v = 0 (t = pi) its largest entry is made positive.
+    v = 2 sin(t) k, so the angle is accurate at both 0 and pi, unlike
+    acos((tr R - 1) / 2). Returns v, s = sin t = |v| / 2, c = cos t and t.
     """
     r = np.asarray(r, dtype=float)
     v = np.stack([r[..., 2, 1] - r[..., 1, 2], r[..., 0, 2] - r[..., 2, 0],
                   r[..., 1, 0] - r[..., 0, 1]], axis=-1)
     s = 0.5 * np.sqrt(_dot(v, v))
     c = 0.5 * (r[..., 0, 0] + r[..., 1, 1] + r[..., 2, 2] - 1.0)
-    theta = np.arctan2(s, c)
+    return v, s, c, np.arctan2(s, c)
+
+
+def log(r) -> np.ndarray:
+    """Inverse Rodrigues map; angles in [0, pi], taken from `angle`.
+
+    Up to pi / 2 the axis is v / |v|. Beyond it, where v fades, the axis is
+    the dominant column of the symmetric part (R + R^T) / 2 - cos(t) I =
+    (1 - cos t) k k^T, signed to agree with v; with v = 0 (t = pi) its
+    largest entry is made positive.
+    """
+    r = np.asarray(r, dtype=float)
+    v, s, c, theta = angle(r)
     w = v * np.divide(theta, 2.0 * s, out=np.full_like(s, 0.5), where=s > 0.0)[..., None]
     far = c < 0.0
     if np.any(far):
@@ -97,3 +106,42 @@ def det3_grad(m) -> np.ndarray:
     """Gradient of det3: row i is the cross product of the other two rows."""
     m0, m1, m2 = m[..., 0, :], m[..., 1, :], m[..., 2, :]
     return np.stack([np.cross(m1, m2), np.cross(m2, m0), np.cross(m0, m1)], axis=-2)
+
+
+def _floor(x: np.ndarray) -> np.ndarray:
+    """x with magnitudes below 1e-12 raised to 1e-12, keeping the sign (0 -> +)."""
+    return np.where(np.abs(x) < 1e-12, np.where(x < 0.0, -1e-12, 1e-12), x)
+
+
+def polar(a):
+    """Nearest rotation Q = A H^-1 to each block of a (..., 3, 3) stack, and its VJP.
+
+    H = V diag(h) V^T is the signed square root of A^T A: h holds the
+    singular values from one eigh of the whole stack, in descending order,
+    the last negated when det A < 0, so det Q = +1 (Higham 1986). The VJP
+    pulls a gradient G on Q back to A: T solves the Sylvester equation
+    T H + H T = Q^T G H^-1, which in H's eigenbasis is division by
+    h_i + h_j, and dL/dA = G H^-1 - A (T + T^T).
+    """
+    a = np.asarray(a, dtype=float)
+    lam, v = np.linalg.eigh(np.swapaxes(a, -1, -2) @ a)
+    h = np.sqrt(np.maximum(lam[..., ::-1], 0.0))
+    v = v[..., ::-1]
+    h[..., 2] *= np.where(det3(a) >= 0.0, 1.0, -1.0)
+    h = _floor(h)
+    vt = np.swapaxes(v, -1, -2)
+    h_inv = (v / h[..., None, :]) @ vt
+    q = a @ h_inv
+
+    def vjp(g_q):
+        g_h = g_q @ h_inv
+        w_tilde = vt @ (np.swapaxes(q, -1, -2) @ g_h) @ v
+        t = v @ (w_tilde / _floor(h[..., :, None] + h[..., None, :])) @ vt
+        return g_h - a @ (t + np.swapaxes(t, -1, -2))
+
+    return q, vjp
+
+
+def project_to_rotations(r_hat) -> np.ndarray:
+    """Project each raw 3x3 block of a stack to the nearest rotation (det +1)."""
+    return polar(r_hat)[0]

@@ -6,7 +6,13 @@ normal, squared reconstruction error, an orthonormality penalty, a
 unit-determinant penalty, and a squared-magnitude penalty on the
 axis-angle recovery of the decoded matrices. The decoder output is fed
 raw to the orthonormality/determinant terms; only the regularizer and
-inference-time decoding project it to the nearest rotation.
+inference-time decoding project it to the nearest rotation
+(`rotations.polar`).
+
+A mini-batch runs as matrices: the MLPs on (B, in) rows, the loss terms
+and their gradients on (B, J, 3, 3) stacks; one sample is a batch of one.
+Row products are stacks of one-row products and the weight gradient is an
+einsum, so no result depends on the BLAS thread count.
 
 The trained encoder doubles as a pose prior: the squared norm of the
 latent mean is an energy that is low for poses resembling the training
@@ -21,9 +27,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import linalg, rotations
+from . import rotations
 from .posedata import matrices_to_axis_angle
 from .priors import PosePrior
+from .rotations import project_to_rotations
 
 LOGVAR_CLAMP = 10.0
 
@@ -81,12 +88,18 @@ def init_mlp(dims, rng: np.random.Generator) -> MlpParams:
     return MlpParams(layers)
 
 
+def _rows_times(a: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """a @ m as B one-row products: each row gets a matrix-vector product's
+    bits for any B and BLAS thread count, unlike one GEMM."""
+    return (a[:, None, :] @ m)[:, 0, :]
+
+
 def mlp_forward(mlp: MlpParams, x: np.ndarray):
-    """Forward pass returning the output and per-layer (input, output) cache."""
+    """Forward pass over (B, in) rows: output and per-layer (input, output) cache."""
     cache = []
     a = np.asarray(x, dtype=float)
     for layer in mlp.layers:
-        u = layer.weight @ a + layer.bias
+        u = _rows_times(a, layer.weight.T) + layer.bias
         out = np.tanh(u) if layer.activation == "tanh" else u
         cache.append((a, out))
         a = out
@@ -94,15 +107,18 @@ def mlp_forward(mlp: MlpParams, x: np.ndarray):
 
 
 def mlp_backward(mlp: MlpParams, cache, g_out: np.ndarray):
-    """Reverse pass: per-layer (dW, db) in forward order plus input gradient."""
+    """Reverse pass over (B, out) rows: per-layer (dW, db) summed over the
+    rows, in forward order, plus the (B, in) input gradient. dW is an einsum:
+    a GEMM would sum the rows in an order set by the BLAS thread count.
+    """
     grads = [None] * len(mlp.layers)
     g = np.asarray(g_out, dtype=float)
     for k in range(len(mlp.layers) - 1, -1, -1):
         layer = mlp.layers[k]
         a_prev, a_out = cache[k]
         g_u = g * (1.0 - a_out**2) if layer.activation == "tanh" else g
-        grads[k] = (np.outer(g_u, a_prev), g_u.copy())
-        g = layer.weight.T @ g_u
+        grads[k] = (np.einsum("bo,bi->oi", g_u, a_prev), g_u.sum(axis=0))
+        g = _rows_times(g_u, layer.weight)
     return grads, g
 
 
@@ -230,8 +246,7 @@ def _flatten_rotations(r, input_dim: int) -> np.ndarray:
 
 def encode(model: VaeModel, r):
     """Deterministic encoder pass on row-major flattened matrices."""
-    x = _flatten_rotations(r, model.input_dim)
-    out, _ = mlp_forward(model.encoder, x)
+    out = mlp_forward(model.encoder, _flatten_rotations(r, model.input_dim)[None])[0][0]
     mu = out[: model.latent_dim]
     logvar = np.clip(out[model.latent_dim :], -LOGVAR_CLAMP, LOGVAR_CLAMP)
     return mu, logvar
@@ -252,21 +267,21 @@ def decode(model: VaeModel, z) -> np.ndarray:
     z = np.asarray(z, dtype=float)
     if z.shape != (model.latent_dim,):
         raise ValueError(f"latent vector has shape {z.shape}, expected ({model.latent_dim},)")
-    y, _ = mlp_forward(model.decoder, z)
+    y, _ = mlp_forward(model.decoder, z[None])
     return y.reshape(model.n_joints, 3, 3)
 
 
 # ---------------------------------------------------------------------------
-# Loss terms
+# Loss terms; kl, orth and det1 also take stacks and return one value per sample
 
 
-def kl_loss(mu, logvar) -> float:
-    """Closed-form KL(N(mu, diag exp(logvar)) || N(0, I))."""
+def kl_loss(mu, logvar):
+    """Closed-form KL(N(mu, diag exp(logvar)) || N(0, I)), per row of a stack."""
     mu = np.asarray(mu, dtype=float)
     logvar = np.asarray(logvar, dtype=float)
     if mu.shape != logvar.shape:
         raise ValueError("mu and logvar lengths differ")
-    return 0.5 * float(np.sum(mu**2 + np.exp(logvar) - 1.0 - logvar))
+    return 0.5 * np.sum(mu**2 + np.exp(logvar) - 1.0 - logvar, axis=-1)
 
 
 def rec_loss(r, r_hat) -> float:
@@ -278,17 +293,16 @@ def rec_loss(r, r_hat) -> float:
     return float(np.sum((a - b) ** 2))
 
 
-def orth_loss(r_hat) -> float:
-    """Sum over joints of ||R R^T - I||_F^2."""
+def orth_loss(r_hat):
+    """Sum over joints of ||R R^T - I||_F^2, per pose of a (..., J, 3, 3) stack."""
     r = np.asarray(r_hat, dtype=float)
-    gram = np.einsum("jab,jcb->jac", r, r) - np.eye(3)
-    return float(np.sum(gram**2))
+    gram = np.einsum("...ab,...cb->...ac", r, r) - np.eye(3)
+    return np.sum(gram**2, axis=(-3, -2, -1))
 
 
-def det1_loss(r_hat) -> float:
-    """Sum over joints of |det(R) - 1|, via cofactor expansion."""
-    r = np.asarray(r_hat, dtype=float)
-    return float(sum(np.abs(rotations.det3(r) - 1.0)))  # in joint order, unlike np.sum
+def det1_loss(r_hat):
+    """Sum over joints of |det(R) - 1|, via cofactor expansion, per pose of a stack."""
+    return np.sum(np.abs(rotations.det3(np.asarray(r_hat, dtype=float)) - 1.0), axis=-1)
 
 
 def reg_loss(pose_equiv) -> float:
@@ -298,93 +312,56 @@ def reg_loss(pose_equiv) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Projection to the nearest rotation (polar route) with an exact VJP
+# The regularizer: squared angle of the projected blocks, with an exact VJP
 
 
-_H_FLOOR = 1e-12
+def _angle_sq(q: np.ndarray):
+    """Angle squared and d(angle^2)/dc, c = (tr Q - 1) / 2, per rotation of a stack.
 
-
-def _project_joint(a: np.ndarray):
-    """Nearest rotation to a raw 3x3 block, plus intermediates for the VJP.
-
-    Uses the eigendecomposition of A^T A: with h the signed singular
-    values (last one negated when det A < 0), Q = A V diag(1/h) V^T and
-    h satisfies (V diag(h) V^T)^2 = A^T A on the chosen branch.
+    t is `rotations.angle`'s atan2 form and d(t^2)/dc = -2 t / sin t takes
+    sin t from the same arguments, so both hold within 1e-8 of 0 and of pi.
     """
-    m = linalg.symmetrize(a.T @ a)
-    eig = linalg.jacobi_eigen(m)
-    sigma = np.sqrt(np.maximum(eig.eigenvalues, 0.0))
-    s = 1.0 if rotations.det3(a) >= 0.0 else -1.0
-    h = np.array([sigma[0], sigma[1], s * sigma[2]])
-    h = np.where(np.abs(h) < _H_FLOOR, np.where(h < 0.0, -_H_FLOOR, _H_FLOOR), h)
-    v = eig.basis
-    h_inv = (v / h) @ v.T
-    q = a @ h_inv
-    return q, v, h, h_inv
+    _, s, _, theta = rotations.angle(q)
+    t2 = theta * theta
+    small = theta < 1e-4  # where t / sin t = 1 + t^2/6 + 7 t^4/360 to 3e-27
+    # Beyond it s is 0 only for a symmetric Q, at t = float pi; sin(float pi) = 1.2e-16
+    # keeps t / s finite there.
+    sin_t = np.where(small, 1.0, np.where(s > 0.0, s, np.sin(theta)))
+    factor = np.where(small, 1.0 + t2 / 6.0 + 7.0 * t2 * t2 / 360.0, theta / sin_t)
+    return t2, -2.0 * factor
 
 
-def project_to_rotations(r_hat) -> np.ndarray:
-    """Project each raw 3x3 block to the nearest rotation (det +1)."""
-    r = np.asarray(r_hat, dtype=float)
-    out = np.empty_like(r)
-    for j, a in enumerate(r):
-        out[j] = _project_joint(a)[0]
-    return out
+def _reg_joint_vjp(a: np.ndarray):
+    """angle(project(A))^2 and its exact gradient with respect to A, per block of a stack.
 
-
-def _angle_sq(q: np.ndarray) -> tuple[float, float]:
-    """Rotation angle squared and d(angle^2)/d(cos) for a rotation matrix."""
-    c = min(max((float(np.trace(q)) - 1.0) / 2.0, -1.0), 1.0)
-    theta = math.acos(c)
-    if theta < 1e-4:
-        factor = 1.0 + theta**2 / 6.0 + 7.0 * theta**4 / 360.0  # theta/sin(theta)
-    else:
-        factor = theta / math.sin(theta)
-    return theta * theta, -2.0 * factor
-
-
-def _reg_joint_vjp(a: np.ndarray) -> tuple[float, np.ndarray]:
-    """angle(project(A))^2 and its exact gradient with respect to A.
-
-    With H the signed square root of A^T A and Q = A H^{-1}, the chain
-    rule needs dH, which solves the Sylvester equation
-    dH H + H dH = dA^T A + A^T dA. The adjoint solve happens in H's
-    eigenbasis, where the operator is division by h_i + h_j.
-    """
-    q, v, h, h_inv = _project_joint(a)
+    The angle depends on Q only through c, with dc/dQ = I / 2, pulled back
+    to A by `rotations.polar`."""
+    q, vjp = rotations.polar(a)
     loss, dloss_dc = _angle_sq(q)
-    g_q = (dloss_dc / 2.0) * np.eye(3)  # d(trace)/dQ = I, c = (tr - 1) / 2
-    g_h_part = g_q @ h_inv
-    w = q.T @ g_h_part
-    w_tilde = v.T @ w @ v
-    denom = h[:, None] + h[None, :]
-    denom = np.where(np.abs(denom) < _H_FLOOR, np.where(denom < 0.0, -_H_FLOOR, _H_FLOOR), denom)
-    t_tilde = w_tilde / denom
-    t = v @ t_tilde @ v.T
-    g_a = g_h_part - a @ (t + t.T)
-    return loss, g_a
+    return loss, vjp((dloss_dc / 2.0)[..., None, None] * np.eye(3))
 
 
 # ---------------------------------------------------------------------------
-# Total loss and manual backprop
+# Total loss and manual backprop, over a batch
 
 
-def _forward_pass(model: VaeModel, r, eps: np.ndarray) -> dict:
-    x = _flatten_rotations(r, model.input_dim)
+def _forward(model: VaeModel, x: np.ndarray, eps: np.ndarray) -> dict:
+    """Forward pass over rows x (B, input_dim) with noise eps (B, latent_dim);
+    state["terms"] is (B, 6): each sample's five loss terms and weighted total."""
     enc_out, enc_cache = mlp_forward(model.encoder, x)
-    mu = enc_out[: model.latent_dim]
-    logvar_raw = enc_out[model.latent_dim :]
+    mu = enc_out[:, : model.latent_dim]
+    logvar_raw = enc_out[:, model.latent_dim :]
     logvar = np.clip(logvar_raw, -LOGVAR_CLAMP, LOGVAR_CLAMP)
     z = mu + np.exp(logvar / 2.0) * eps
     y, dec_cache = mlp_forward(model.decoder, z)
-    r_hat = y.reshape(model.n_joints, 3, 3)
+    r_hat = y.reshape(len(x), model.n_joints, 3, 3)
 
     l_kl = kl_loss(mu, logvar)
-    l_rec = rec_loss(x, y)
+    l_rec = np.sum((x - y) ** 2, axis=1)
     l_orth = orth_loss(r_hat)
     l_det1 = det1_loss(r_hat)
-    reg_terms = [_reg_joint_vjp(a) for a in r_hat]
-    l_reg = float(sum(t[0] for t in reg_terms))
+    reg, reg_grad = _reg_joint_vjp(r_hat)
+    l_reg = np.sum(reg, axis=1)
 
     w = model.loss_weights
     l_total = (
@@ -393,19 +370,47 @@ def _forward_pass(model: VaeModel, r, eps: np.ndarray) -> dict:
     )
     return {
         "x": x, "enc_cache": enc_cache, "mu": mu, "logvar_raw": logvar_raw,
-        "logvar": logvar, "eps": eps, "z": z, "y": y, "dec_cache": dec_cache,
-        "r_hat": r_hat, "reg_grads": [t[1] for t in reg_terms],
-        "breakdown": VaeLossBreakdown(
-            l_kl=l_kl, l_rec=l_rec, l_orth=l_orth, l_det1=l_det1,
-            l_reg=l_reg, l_total=l_total,
-        ),
+        "logvar": logvar, "eps": eps, "dec_cache": dec_cache, "r_hat": r_hat,
+        "reg_grad": reg_grad,
+        "terms": np.stack([l_kl, l_rec, l_orth, l_det1, l_reg, l_total], axis=1),
     }
+
+
+def _backward(model: VaeModel, state: dict):
+    """Per-layer (dW, db) of the batch's summed total loss: (encoder, decoder)."""
+    w = model.loss_weights
+    r_hat = state["r_hat"]
+    mu = state["mu"]
+    logvar = state["logvar"]
+
+    g_rhat = w.w_rec * 2.0 * (r_hat - state["x"].reshape(r_hat.shape))
+    gram = np.einsum("...ab,...cb->...ac", r_hat, r_hat) - np.eye(3)
+    g_rhat += w.w_orth * 4.0 * np.einsum("...ab,...bc->...ac", gram, r_hat)
+    det_sign = np.sign(rotations.det3(r_hat) - 1.0)
+    g_rhat += (w.w_det1 * det_sign)[..., None, None] * rotations.det3_grad(r_hat)
+    g_rhat += w.w_reg * state["reg_grad"]
+
+    dec_grads, g_z = mlp_backward(model.decoder, state["dec_cache"], g_rhat.reshape(len(mu), -1))
+
+    g_mu = g_z + w.w_kl * mu
+    std_half = 0.5 * np.exp(logvar / 2.0)
+    g_logvar = g_z * std_half * state["eps"] + w.w_kl * 0.5 * (np.exp(logvar) - 1.0)
+    inside = np.abs(state["logvar_raw"]) < LOGVAR_CLAMP
+    g_logvar_raw = np.where(inside, g_logvar, 0.0)
+    enc_grads, _ = mlp_backward(
+        model.encoder, state["enc_cache"], np.concatenate([g_mu, g_logvar_raw], axis=1)
+    )
+    return enc_grads, dec_grads
+
+
+def _one_sample(model: VaeModel, r, seed: int) -> dict:
+    eps = np.random.default_rng(seed).standard_normal((1, model.latent_dim))
+    return _forward(model, _flatten_rotations(r, model.input_dim)[None], eps)
 
 
 def total_loss(model: VaeModel, r, seed: int) -> VaeLossBreakdown:
     """Encode, reparameterize, decode; all five terms plus the weighted sum."""
-    eps = np.random.default_rng(seed).standard_normal(model.latent_dim)
-    return _forward_pass(model, r, eps)["breakdown"]
+    return VaeLossBreakdown(*map(float, _one_sample(model, r, seed)["terms"][0]))
 
 
 @dataclass
@@ -415,39 +420,12 @@ class VaeGradients:
     loss: VaeLossBreakdown
 
 
-def _backward_pass(model: VaeModel, state: dict) -> VaeGradients:
-    w = model.loss_weights
-    r_hat = state["r_hat"]
-    x = state["x"]
-    mu = state["mu"]
-    logvar = state["logvar"]
-    eps = state["eps"]
-
-    g_rhat = np.zeros_like(r_hat)
-    g_rhat += w.w_rec * 2.0 * (r_hat - x.reshape(r_hat.shape))
-    gram = np.einsum("jab,jcb->jac", r_hat, r_hat) - np.eye(3)
-    g_rhat += w.w_orth * 4.0 * np.einsum("jab,jbc->jac", gram, r_hat)
-    det_sign = np.sign(rotations.det3(r_hat) - 1.0)
-    g_rhat += (w.w_det1 * det_sign)[:, None, None] * rotations.det3_grad(r_hat)
-    g_rhat += w.w_reg * np.stack(state["reg_grads"])
-
-    dec_grads, g_z = mlp_backward(model.decoder, state["dec_cache"], g_rhat.reshape(-1))
-
-    g_mu = g_z + w.w_kl * mu
-    std_half = 0.5 * np.exp(logvar / 2.0)
-    g_logvar = g_z * std_half * eps + w.w_kl * 0.5 * (np.exp(logvar) - 1.0)
-    inside = np.abs(state["logvar_raw"]) < LOGVAR_CLAMP
-    g_logvar_raw = np.where(inside, g_logvar, 0.0)
-    enc_grads, _ = mlp_backward(
-        model.encoder, state["enc_cache"], np.concatenate([g_mu, g_logvar_raw])
-    )
-    return VaeGradients(encoder=enc_grads, decoder=dec_grads, loss=state["breakdown"])
-
-
 def backward(model: VaeModel, r, seed: int) -> VaeGradients:
     """Exact gradients of the weighted total loss for fixed noise."""
-    eps = np.random.default_rng(seed).standard_normal(model.latent_dim)
-    return _backward_pass(model, _forward_pass(model, r, eps))
+    state = _one_sample(model, r, seed)
+    enc_grads, dec_grads = _backward(model, state)
+    return VaeGradients(encoder=enc_grads, decoder=dec_grads,
+                        loss=VaeLossBreakdown(*map(float, state["terms"][0])))
 
 
 # ---------------------------------------------------------------------------
@@ -484,23 +462,11 @@ class _Optimizer:
             layer.bias -= lr * (mb / corr1) / (np.sqrt(vb / corr2) + eps)
 
 
-def _zero_grads(mlp: MlpParams):
-    return [(np.zeros_like(l.weight), np.zeros_like(l.bias)) for l in mlp.layers]
-
-
-def _accumulate(total, grads):
-    for (tw, tb), (dw, db) in zip(total, grads):
-        tw += dw
-        tb += db
-
-
-def _scale(grads, factor: float):
-    return [(dw * factor, db * factor) for dw, db in grads]
-
-
 def train(model: VaeModel, data, cfg: TrainConfig):
     """Mini-batch training with seeded shuffling and fresh noise per sample.
 
+    Each mini-batch runs forward and backward as one batch; its noise is one
+    (B, latent_dim) draw, equal to B draws of latent_dim values in turn.
     Returns a trained copy of the model and the per-epoch mean loss trace
     (a VaeLossBreakdown per epoch). Deterministic for fixed (model, data,
     cfg): identical seeds give bitwise identical parameters.
@@ -513,7 +479,7 @@ def train(model: VaeModel, data, cfg: TrainConfig):
     n = samples.shape[0]
     if cfg.batch_size > n:
         raise ValueError("batch_size exceeds the sample count")
-    rots = rotations.exp(samples.reshape(n, model.n_joints, 3))
+    rows = rotations.exp(samples.reshape(n, model.n_joints, 3)).reshape(n, -1)
 
     trained = model.copy()
     rng = np.random.default_rng(cfg.seed)
@@ -526,14 +492,12 @@ def train(model: VaeModel, data, cfg: TrainConfig):
         sums = np.zeros(6)
         for start in range(0, n, cfg.batch_size):
             batch = perm[start : start + cfg.batch_size]
-            acc = _zero_grads(trained.encoder) + _zero_grads(trained.decoder)
-            for idx in batch:
-                eps = rng.standard_normal(trained.latent_dim)
-                grads = _backward_pass(trained, _forward_pass(trained, rots[idx], eps))
-                _accumulate(acc, grads.encoder + grads.decoder)
-                bd = grads.loss
-                sums += (bd.l_kl, bd.l_rec, bd.l_orth, bd.l_det1, bd.l_reg, bd.l_total)
-            opt.step(all_layers, _scale(acc, 1.0 / batch.size))
+            eps = rng.standard_normal((batch.size, trained.latent_dim))
+            state = _forward(trained, rows[batch], eps)
+            enc_grads, dec_grads = _backward(trained, state)
+            sums += state["terms"].sum(axis=0)
+            scale = 1.0 / batch.size
+            opt.step(all_layers, [(dw * scale, db * scale) for dw, db in enc_grads + dec_grads])
         means = sums / n
         trace.append(VaeLossBreakdown(*means))
     trained.fit_meta.update(
@@ -577,19 +541,19 @@ def vae_prior_energy(model: VaeModel, p) -> tuple[float, np.ndarray]:
         raise ValueError(f"pose has shape {p.shape}, expected ({model.pose_dim},)")
     w = p.reshape(-1, 3)
     rot = rotations.exp(w)
-    out, cache = mlp_forward(model.encoder, rot.reshape(-1))
-    mu = out[: model.latent_dim]
-    g_out = np.concatenate([2.0 * mu, np.zeros(model.latent_dim)])
+    out, cache = mlp_forward(model.encoder, rot.reshape(1, -1))
+    mu = out[:, : model.latent_dim]
+    g_out = np.concatenate([2.0 * mu, np.zeros_like(mu)], axis=1)
     _, g_x = mlp_backward(model.encoder, cache, g_out)
-    return float(mu @ mu), rotations.exp_vjp(w, rot, g_x.reshape(rot.shape)).reshape(-1)
+    return float(mu[0] @ mu[0]), rotations.exp_vjp(w, rot, g_x.reshape(rot.shape)).reshape(-1)
 
 
 class VaeEnergyPrior(PosePrior):
     """Adapter holding a VaeModel to the PosePrior contract.
 
     log_prob is the negated latent energy (an unnormalized log-density);
-    log_prob_many maps all poses to rotations at once, then runs the
-    encoder forward pass one pose at a time.
+    log_prob_many runs the rotation map and the encoder on all poses at
+    once, with each row's bits those of a one-pose call.
     """
 
     def __init__(self, model: VaeModel):
@@ -604,11 +568,9 @@ class VaeEnergyPrior(PosePrior):
         if xs.shape[1:] != (self.dim,):
             raise ValueError(f"pose has shape {xs.shape[1:]}, expected ({self.dim},)")
         rots = rotations.exp(xs.reshape(len(xs), self.model.n_joints, 3))
-        out = np.empty(len(xs))
-        for row, rot in enumerate(rots):
-            mu = mlp_forward(self.model.encoder, rot.reshape(-1))[0][: self.model.latent_dim]
-            out[row] = -float(mu @ mu)
-        return out
+        out = mlp_forward(self.model.encoder, rots.reshape(len(xs), -1))[0]
+        mu = out[:, : self.model.latent_dim]
+        return -(mu[:, None, :] @ mu[:, :, None])[:, 0, 0]  # per-row dots, as in vae_prior_energy
 
     def grad_log_prob(self, x) -> np.ndarray:
         return -vae_prior_energy(self.model, x)[1]

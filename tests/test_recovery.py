@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from posepriors import linalg
+from posepriors import linalg, recovery
 from posepriors.errors import NumericalError
-from posepriors.priors import BoxLimitModel, GammaModel, mvn_from_moments
+from posepriors.priors import BoxLimitModel, GammaModel, GmmModel, mvn_from_moments
 from posepriors.recovery import Observation, recover_pose
 
 
@@ -209,6 +209,33 @@ class TestWorkCounts:
         counted = CountingPrior(prior)
         recover_pose(obs, counted, lam=0.0)
         assert (counted.log_prob_calls, counted.grad_calls) == (0, 0)
+
+
+class TestCurvatureSafeguard:
+    def test_pairs_without_positive_curvature_are_rejected(self, monkeypatch):
+        # Two narrow components with the observation between them: the path
+        # crosses the saddle, where steps see negative curvature.
+        rng = np.random.default_rng(9)
+        means = rng.normal(0.0, 1.0, (2, 2))
+        covs = np.stack([np.diag(rng.uniform(0.02, 0.1, 2)) for _ in range(2)])
+        prior = GmmModel(weights=[0.5, 0.5], means=means, covs=covs)
+        obs = Observation(values=0.5 * means.sum(axis=0) + rng.normal(0.0, 0.1, 2),
+                          noise_sigma=0.5)
+        calls = []
+        direction = recovery._lbfgs_direction
+
+        def recording(g, pairs):
+            calls.append(list(pairs))
+            return direction(g, pairs)
+
+        monkeypatch.setattr(recovery, "_lbfgs_direction", recording)
+        result = recover_pose(obs, prior, lam=1.0)
+        kept = {id(s): (s, y) for pairs in calls for s, y, _ in pairs}
+        for s, y in kept.values():
+            assert s @ y > 1e-12 * np.linalg.norm(s) * np.linalg.norm(y)
+        # Each iteration after the first offers one pair, unless it stops at grad_tol.
+        offered = result.iterations_used - 1 - (result.stop_reason == "grad_tol")
+        assert len(kept) < offered
 
 
 PROPERTY = settings(max_examples=25, derandomize=True, deadline=None, database=None)

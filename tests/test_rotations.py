@@ -72,9 +72,36 @@ def test_stack_matches_one_pose_at_a_time(n, joints, seed):
     back = rotations.log(r)
     vjp = rotations.exp_vjp(w, r, g)
     det_r, det_g = rotations.det3(r), rotations.det3(g)
+    proj = rotations.project_to_rotations(g)
     for i in range(n):
         assert np.array_equal(r[i], rotations.exp(w[i]))
         assert np.array_equal(back[i], rotations.log(r[i]))
         assert np.array_equal(vjp[i], rotations.exp_vjp(w[i], r[i], g[i]))
         assert np.array_equal(det_r[i], rotations.det3(r[i]))
         assert np.array_equal(det_g[i], rotations.det3(g[i]))
+        assert np.array_equal(proj[i], rotations.project_to_rotations(g[i]))
+
+
+@PROPERTY
+@given(seeds, st.booleans())
+def test_polar_is_a_rotation_with_exact_vjp(seed, reflect):
+    rng = np.random.default_rng(seed)
+    a = np.eye(3) + 0.3 * rng.uniform(-1.0, 1.0, (3, 3))
+    a[0] *= -1.0 if reflect else 1.0  # det A < 0 still projects to det +1
+    g = rng.uniform(-1.0, 1.0, (3, 3))
+    q, vjp = rotations.polar(a)
+    assert np.abs(q @ q.T - np.eye(3)).max() <= 1e-14
+    assert abs(rotations.det3(q) - 1.0) <= 1e-14
+    # The nearest rotation maximizes tr(Q^T A): the singular values summed,
+    # the smallest one negated when det A < 0.
+    sigma = np.linalg.svd(a, compute_uv=False)
+    sigma[2] *= np.sign(np.linalg.det(a))
+    assert abs(np.trace(q.T @ a) - sigma.sum()) <= 1e-13
+    h = 1e-6
+    fd = np.empty((3, 3))
+    for idx in np.ndindex(3, 3):
+        up, down = a.copy(), a.copy()
+        up[idx] += h
+        down[idx] -= h
+        fd[idx] = np.sum(g * (rotations.polar(up)[0] - rotations.polar(down)[0])) / (2 * h)
+    assert np.abs(vjp(g) - fd).max() <= 1e-7 * max(1.0, np.abs(fd).max())

@@ -46,6 +46,9 @@ def _commands(root: Path, out: Path) -> list[list[str]]:
          "--out", str(out / "analyze.json"), "--hist-out", str(out / "hist.csv")],
         ["train-vae", "--data", small, "--epochs", "1", "--batch", "8", "--latent", "4",
          "--hidden", "16,16", "--seed", "2", "--out", str(out / "vae.json")],
+        # Mini-batches of 256 rows make the batched products large enough to thread.
+        ["train-vae", "--data", poses, "--epochs", "1", "--batch", "256", "--hidden", "64,64",
+         "--latent", "8", "--seed", "4", "--out", str(out / "vae-256.json")],
     ]
     for family in ("gmm", "mvn", "vae"):
         cmds.append(["eval", "--model", str(out / f"{family}.json"), "--data", poses,
@@ -83,6 +86,6 @@ def test_cli_outputs_identical_for_one_and_two_blas_threads(tmp_path):
     one, two = _run(tmp_path, 1), _run(tmp_path, 2)
     names = sorted(p.name for p in one.iterdir())
     assert names == sorted(p.name for p in two.iterdir())
-    assert len(names) == 15
+    assert len(names) == 16
     differ = [n for n in names if (one / n).read_bytes() != (two / n).read_bytes()]
     assert differ == []

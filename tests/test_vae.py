@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from posepriors import posedata, vae
+from posepriors import posedata, rotations, vae
 from posepriors.posedata import PoseDataset, axis_angle_to_matrices, default_column_names
 from posepriors.vae import (
     LossWeights,
@@ -435,3 +437,86 @@ def test_decode_to_pose_round_trips_shapes():
     pose = vae.decode_to_pose(model, np.array([0.1, -0.2]))
     assert pose.shape == (6,)
     assert np.all(np.isfinite(pose))
+
+
+AXIS = np.array([0.48, -0.6, 0.64])  # a unit vector
+
+
+class TestRegAngleEnds:
+    @pytest.mark.parametrize("theta", [1e-8, 1e-6])
+    def test_angle_sq_near_zero(self, theta):
+        t2, _ = vae._angle_sq(rotations.exp(theta * AXIS))
+        assert abs(t2 - theta**2) <= 1e-12 * theta**2
+
+    @pytest.mark.parametrize("delta", [1e-8, 1e-6])
+    def test_factor_near_pi(self, delta):
+        theta = math.pi - delta
+        _, dt2_dc = vae._angle_sq(rotations.exp(theta * AXIS))
+        exact = -2.0 * theta / math.sin(theta)
+        assert abs(dt2_dc - exact) <= 1e-6 * abs(exact)
+
+    @pytest.mark.parametrize("theta,h,rtol", [(1e-6, 1e-7, 1e-6), (math.pi - 1e-6, 1e-9, 1e-5)])
+    def test_reg_gradient_matches_central_differences(self, theta, h, rtol):
+        # h stays below the distance to pi, where the angle has a kink.
+        a = rotations.exp(theta * AXIS)
+        _, grad = vae._reg_joint_vjp(a)
+        fd = np.empty((3, 3))
+        for idx in np.ndindex(3, 3):
+            up, down = a.copy(), a.copy()
+            up[idx] += h
+            down[idx] -= h
+            fd[idx] = (vae._reg_joint_vjp(up)[0] - vae._reg_joint_vjp(down)[0]) / (2.0 * h)
+        assert np.abs(grad - fd).max() <= rtol * np.abs(fd).max()
+
+
+BATCH = settings(max_examples=20, derandomize=True, deadline=None, database=None)
+WEIGHTS = LossWeights(1.0, 0.7, 2.0, 0.5, 1.3)
+
+
+def _batch_problem(b, j, seed):
+    rng = np.random.default_rng(seed)
+    model = build_vae(n_joints=j, latent_dim=2, hidden=(8,), seed=seed % 97, loss_weights=WEIGHTS)
+    rots = rotations.exp(rng.normal(0.0, 1.0, (b, j, 3)))
+    seeds = [int(s) for s in rng.integers(0, 2**31, b)]
+    eps = np.stack([np.random.default_rng(s).standard_normal(2) for s in seeds])
+    return model, rots, seeds, eps
+
+
+def _close(got, want, rtol=1e-12):
+    return np.abs(np.asarray(got) - want).max() <= rtol * max(np.abs(want).max(), 1e-300)
+
+
+class TestBatchMatchesPerSample:
+    @BATCH
+    @given(b=st.integers(1, 6), j=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+    def test_loss_terms_and_gradients(self, b, j, seed):
+        model, rots, seeds, eps = _batch_problem(b, j, seed)
+        state = vae._forward(model, rots.reshape(b, -1), eps)
+        enc, dec = vae._backward(model, state)
+        for row, r, s in zip(state["terms"], rots, seeds):
+            bd = total_loss(model, r, s)
+            assert _close(row, [bd.l_kl, bd.l_rec, bd.l_orth, bd.l_det1, bd.l_reg, bd.l_total])
+        singles = [vae.backward(model, r, s) for r, s in zip(rots, seeds)]
+        per_sample = [g.encoder + g.decoder for g in singles]
+        for k, (dw, db) in enumerate(enc + dec):
+            assert _close(dw, sum(g[k][0] for g in per_sample))
+            assert _close(db, sum(g[k][1] for g in per_sample))
+
+    @BATCH
+    @given(b=st.integers(1, 6), j=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+    def test_train_draws_perm_then_noise_per_sample(self, b, j, seed):
+        # With learning rate 0 the trace is the epoch mean of per-sample terms
+        # under the draws made one sample at a time: a permutation per epoch,
+        # then latent_dim normals per sample in batch order.
+        model, _, _, _ = _batch_problem(b, j, seed)
+        n = 2 * b + 1  # the last batch is short
+        samples = np.random.default_rng(seed).normal(0.0, 0.8, (n, 3 * j))
+        cfg = TrainConfig(epochs=2, batch_size=b, learning_rate=0.0, seed=seed % 1000)
+        _, trace = train(model, samples, cfg)
+        rows = rotations.exp(samples.reshape(n, j, 3)).reshape(n, -1)
+        rng = np.random.default_rng(cfg.seed)
+        for bd in trace:
+            terms = [vae._forward(model, rows[idx][None], rng.standard_normal(2)[None])["terms"][0]
+                     for idx in rng.permutation(n)]
+            assert _close([bd.l_kl, bd.l_rec, bd.l_orth, bd.l_det1, bd.l_reg, bd.l_total],
+                          np.mean(terms, axis=0))
