@@ -10,10 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .priors import BoxLimitModel, GammaModel, GmmModel, MvnModel
-from .vae import VaeEnergyPrior
-from . import linalg
-
 
 def finite_diff_gradient(f, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
     """Central differences, one coordinate at a time."""
@@ -55,36 +51,7 @@ def max_relative_error(prior, points: np.ndarray, h: float = 1e-5) -> float:
 
 def sample_in_support(prior, count: int, seed: int, h: float = 1e-5) -> np.ndarray:
     """Seeded points strictly inside the prior's support, clear of kinks."""
-    rng = np.random.default_rng(seed)
-    if isinstance(prior, MvnModel):
-        eps = rng.standard_normal((count, prior.dim))
-        return prior.mean + eps @ prior.chol.lower.T
-    if isinstance(prior, GmmModel):
-        comps = rng.choice(prior.n_components, size=count, p=prior.weights)
-        chols = [linalg.cholesky(c) for c in prior.covs]
-        points = np.empty((count, prior.dim))
-        for row, i in enumerate(comps):
-            points[row] = prior.means[i] + chols[i].lower @ rng.standard_normal(prior.dim)
-        return points
-    if isinstance(prior, GammaModel):
-        draws = rng.gamma(prior.alpha, 1.0 / prior.beta, (count, prior.dim))
-        draws += 1e-3 * prior.alpha / prior.beta + 10.0 * h
-        return prior.shift + prior.sign * draws
-    if isinstance(prior, BoxLimitModel):
-        # Stay inside the limits: there both gradients are exactly zero.
-        # Boundary-crossing gradients are exercised by dedicated tests with
-        # explicitly constructed points.
-        width = prior.hi - prior.lo
-        return rng.uniform(
-            prior.lo + 0.05 * width, prior.hi - 0.05 * width, (count, prior.dim)
-        )
-    if isinstance(prior, VaeEnergyPrior):
-        points = rng.normal(0.0, 0.7, (count, prior.dim))
-        joints = points.reshape(count, -1, 3)
-        norms = np.linalg.norm(joints, axis=2, keepdims=True)
-        scale = np.where(norms > 2.5, 2.5 / norms, 1.0)
-        return (joints * scale).reshape(count, prior.dim)
-    raise TypeError(f"no sampling rule for prior type {type(prior).__name__}")
+    return prior.support_points(count, np.random.default_rng(seed), h)
 
 
 def run_grad_check(prior, count: int = 100, seed: int = 0, h: float = 1e-5) -> dict:

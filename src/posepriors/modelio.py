@@ -13,18 +13,16 @@ import os
 
 import numpy as np
 
-from . import vae as vae_mod
+from . import priors, vae
 from .errors import DataError
-from .priors import (
-    BoxLimitModel,
-    GammaModel,
-    GmmModel,
-    MvnModel,
-    TemporalGmmModel,
-    mvn_from_moments,
-)
 
 MODEL_FORMAT = "pose-prior v1"
+
+# model_type -> family class, each with MODEL_TYPE, to_params() and
+# from_params(params, meta). A subclass inherits its family's MODEL_TYPE.
+FAMILIES = {cls.MODEL_TYPE: cls for cls in (
+    priors.MvnModel, priors.GammaModel, priors.GmmModel, priors.TemporalGmmModel,
+    priors.BoxLimitModel, vae.VaeModel)}
 
 
 def _plain(value):
@@ -53,46 +51,14 @@ def _meta(model) -> dict:
 
 
 def model_to_doc(model) -> dict:
-    if isinstance(model, MvnModel):
-        model_type, dim = "mvn", model.dim
-        params = {"mean": model.mean, "cov": model.cov}
-    elif isinstance(model, GammaModel):
-        model_type, dim = "gamma", model.dim
-        params = {
-            "alpha": model.alpha,
-            "beta": model.beta,
-            "sign": [int(s) for s in model.sign],
-            "shift": model.shift,
-        }
-    elif isinstance(model, GmmModel):
-        model_type = "temporal_gmm" if isinstance(model, TemporalGmmModel) else "gmm"
-        dim = model.dim
-        params = {"weights": model.weights, "means": model.means, "covs": model.covs}
-    elif isinstance(model, BoxLimitModel):
-        model_type, dim = "box", model.dim
-        params = {"lo": model.lo, "hi": model.hi, "stiffness": model.stiffness}
-    elif isinstance(model, vae_mod.VaeModel):
-        model_type, dim = "vae", model.input_dim // 9 * 3
-        params = {
-            "input_dim": model.input_dim,
-            "latent_dim": model.latent_dim,
-            "encoder": vae_mod.mlp_to_doc(model.encoder),
-            "decoder": vae_mod.mlp_to_doc(model.decoder),
-            "loss_weights": {
-                "w_kl": model.loss_weights.w_kl,
-                "w_rec": model.loss_weights.w_rec,
-                "w_orth": model.loss_weights.w_orth,
-                "w_det1": model.loss_weights.w_det1,
-                "w_reg": model.loss_weights.w_reg,
-            },
-        }
-    else:
+    model_type = getattr(model, "MODEL_TYPE", None)
+    if model_type not in FAMILIES:
         raise TypeError(f"cannot serialize model of type {type(model).__name__}")
     return {
         "format": MODEL_FORMAT,
         "model_type": model_type,
-        "dim": dim,
-        "params": params,
+        "dim": model.dim,
+        "params": model.to_params(),
         "fit_metadata": _meta(model),
     }
 
@@ -101,48 +67,13 @@ def model_from_doc(doc: dict):
     if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
         raise DataError(f"not a '{MODEL_FORMAT}' document")
     model_type = doc.get("model_type")
-    params = doc.get("params", {})
-    meta = doc.get("fit_metadata", {})
+    if not isinstance(model_type, str) or model_type not in FAMILIES:
+        raise DataError(f"unknown model_type {model_type!r}")
+    params, meta = doc.get("params", {}), doc.get("fit_metadata", {})
     try:
-        if model_type == "mvn":
-            model = mvn_from_moments(params["mean"], params["cov"])
-            model.fit_meta = dict(meta)
-            return model
-        if model_type == "gamma":
-            return GammaModel(
-                alpha=params["alpha"],
-                beta=params["beta"],
-                sign=params["sign"],
-                shift=params["shift"],
-                fit_meta=dict(meta),
-            )
-        if model_type in ("gmm", "temporal_gmm"):
-            cls = TemporalGmmModel if model_type == "temporal_gmm" else GmmModel
-            return cls(
-                weights=params["weights"],
-                means=params["means"],
-                covs=params["covs"],
-                fit_meta=dict(meta),
-            )
-        if model_type == "box":
-            return BoxLimitModel(
-                lo=params["lo"],
-                hi=params["hi"],
-                stiffness=float(params["stiffness"]),
-                fit_meta=dict(meta),
-            )
-        if model_type == "vae":
-            return vae_mod.VaeModel(
-                input_dim=int(params["input_dim"]),
-                latent_dim=int(params["latent_dim"]),
-                encoder=vae_mod.mlp_from_doc(params["encoder"]),
-                decoder=vae_mod.mlp_from_doc(params["decoder"]),
-                loss_weights=vae_mod.LossWeights(**params["loss_weights"]),
-                fit_meta=dict(meta),
-            )
+        return FAMILIES[model_type].from_params(params, meta)
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"malformed {model_type!r} model document: {exc}") from None
-    raise DataError(f"unknown model_type {model_type!r}")
 
 
 def save_model(model, path) -> None:

@@ -72,12 +72,17 @@ def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
 class PosePrior:
     """Base of every prior: log_prob is log_prob_many on a single row.
 
-    Subclasses provide dim, log_prob_many(xs) over an (n, dim) batch and
-    grad_log_prob(x) at one point.
+    Subclasses provide dim, log_prob_many(xs) over an (n, dim) batch,
+    grad_log_prob(x) at one point and support_points for grad checks; a
+    family saved as JSON adds MODEL_TYPE, to_params and from_params.
     """
 
     def log_prob(self, x) -> float:
         return float(self.log_prob_many(_check_vec(x, self.dim)[None])[0])
+
+    def support_points(self, count: int, rng: np.random.Generator, h: float) -> np.ndarray:
+        """(count, dim) seeded points strictly inside the support, clear of kinks."""
+        raise TypeError(f"no sampling rule for prior type {type(self).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -87,6 +92,8 @@ class PosePrior:
 @dataclass
 class MvnModel(PosePrior):
     """Gaussian over pose vectors; covariance kept with its Cholesky factor."""
+
+    MODEL_TYPE = "mvn"
 
     mean: np.ndarray
     cov: np.ndarray
@@ -105,11 +112,24 @@ class MvnModel(PosePrior):
         x = _check_vec(x, self.dim)
         return -linalg.chol_solve(self.chol, x - self.mean)
 
+    def support_points(self, count: int, rng: np.random.Generator, h: float) -> np.ndarray:
+        eps = rng.standard_normal((count, self.dim))
+        return self.mean + eps @ self.chol.lower.T
+
     def mode(self) -> np.ndarray:
         return self.mean.copy()
 
     def mean_vector(self) -> np.ndarray:
         return self.mean.copy()
+
+    def to_params(self) -> dict:
+        return {"mean": self.mean, "cov": self.cov}
+
+    @classmethod
+    def from_params(cls, params, meta) -> "MvnModel":
+        model = mvn_from_moments(params["mean"], params["cov"])
+        model.fit_meta = dict(meta)
+        return model
 
 
 def mvn_from_moments(mean, cov, base_jitter: float = 1e-10, fit_meta=None) -> MvnModel:
@@ -150,6 +170,8 @@ class GammaModel(PosePrior):
     support score -inf (a comparable sentinel for optimizers), never an
     exception; gradients outside the support do raise.
     """
+
+    MODEL_TYPE = "gamma"
 
     alpha: np.ndarray
     beta: np.ndarray
@@ -195,6 +217,11 @@ class GammaModel(PosePrior):
             raise ValueError("point is on or outside the gamma support boundary")
         return self.sign * ((self.alpha - 1.0) / y - self.beta)
 
+    def support_points(self, count: int, rng: np.random.Generator, h: float) -> np.ndarray:
+        draws = rng.gamma(self.alpha, 1.0 / self.beta, (count, self.dim))
+        draws += 1e-3 * self.alpha / self.beta + 10.0 * h
+        return self.shift + self.sign * draws
+
     def mode(self) -> np.ndarray:
         # True mode sits on the support boundary when alpha < 1; fall back
         # to the mean there so the result is strictly inside the support.
@@ -203,6 +230,15 @@ class GammaModel(PosePrior):
 
     def mean_vector(self) -> np.ndarray:
         return self.shift + self.sign * self.alpha / self.beta
+
+    def to_params(self) -> dict:
+        return {"alpha": self.alpha, "beta": self.beta,
+                "sign": [int(s) for s in self.sign], "shift": self.shift}
+
+    @classmethod
+    def from_params(cls, params, meta) -> "GammaModel":
+        return cls(alpha=params["alpha"], beta=params["beta"], sign=params["sign"],
+                   shift=params["shift"], fit_meta=dict(meta))
 
 
 def fit_gamma(data, margin: float = 1e-6) -> GammaModel:
@@ -246,6 +282,8 @@ def fit_gamma(data, margin: float = 1e-6) -> GammaModel:
 @dataclass
 class GmmModel(PosePrior):
     """Mixture of full-covariance Gaussians; weights kept normalized."""
+
+    MODEL_TYPE = "gmm"
 
     weights: np.ndarray
     means: np.ndarray
@@ -301,6 +339,13 @@ class GmmModel(PosePrior):
             grad -= r[i] * y
         return grad
 
+    def support_points(self, count: int, rng: np.random.Generator, h: float) -> np.ndarray:
+        comps = rng.choice(self.n_components, size=count, p=self.weights)
+        points = np.empty((count, self.dim))
+        for row, i in enumerate(comps):
+            points[row] = self.means[i] + self._chols[i].lower @ rng.standard_normal(self.dim)
+        return points
+
     def mode(self) -> np.ndarray:
         # Approximate: the component mean with the highest mixture density.
         best = int(np.argmax(self.log_prob_many(self.means)))
@@ -308,6 +353,14 @@ class GmmModel(PosePrior):
 
     def mean_vector(self) -> np.ndarray:
         return self.weights @ self.means
+
+    def to_params(self) -> dict:
+        return {"weights": self.weights, "means": self.means, "covs": self.covs}
+
+    @classmethod
+    def from_params(cls, params, meta) -> "GmmModel":
+        return cls(weights=params["weights"], means=params["means"], covs=params["covs"],
+                   fit_meta=dict(meta))
 
 
 def _kmeanspp_seeds(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -421,6 +474,8 @@ def fit_gmm_em(data, k: int, seed: int = 0, reg: float = 1e-6, tol: float = 1e-8
 class TemporalGmmModel(GmmModel):
     """GMM over stacked (dt, dtheta) vectors of dimension 1 + D."""
 
+    MODEL_TYPE = "temporal_gmm"
+
     def log_prob_delta(self, delta: TemporalDelta) -> float:
         return self.log_prob(delta.stacked())
 
@@ -451,6 +506,8 @@ class BoxLimitModel(PosePrior):
     log_prob is an unnormalized log-density (0 inside the box), C^1 at the
     boundaries so gradient-based pose recovery can cross them smoothly.
     """
+
+    MODEL_TYPE = "box"
 
     lo: np.ndarray
     hi: np.ndarray
@@ -485,11 +542,26 @@ class BoxLimitModel(PosePrior):
         over, under = self._violations(x)
         return -2.0 * self.stiffness * (over - under)
 
+    def support_points(self, count: int, rng: np.random.Generator, h: float) -> np.ndarray:
+        # Stay inside the limits: there both gradients are exactly zero.
+        # Boundary-crossing gradients are exercised by dedicated tests with
+        # explicitly constructed points.
+        width = self.hi - self.lo
+        return rng.uniform(self.lo + 0.05 * width, self.hi - 0.05 * width, (count, self.dim))
+
     def mode(self) -> np.ndarray:
         return (self.lo + self.hi) / 2.0
 
     def mean_vector(self) -> np.ndarray:
         return self.mode()
+
+    def to_params(self) -> dict:
+        return {"lo": self.lo, "hi": self.hi, "stiffness": self.stiffness}
+
+    @classmethod
+    def from_params(cls, params, meta) -> "BoxLimitModel":
+        return cls(lo=params["lo"], hi=params["hi"], stiffness=float(params["stiffness"]),
+                   fit_meta=dict(meta))
 
 
 def box_from_data(data, stiffness: float = 1.0, margin: float = 0.0) -> BoxLimitModel:

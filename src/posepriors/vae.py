@@ -23,7 +23,7 @@ batched Rodrigues map in `rotations`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -155,6 +155,8 @@ class LossWeights:
 
 @dataclass
 class VaeModel:
+    MODEL_TYPE = "vae"
+
     input_dim: int  # J * 9
     latent_dim: int
     encoder: MlpParams
@@ -180,6 +182,8 @@ class VaeModel:
     def pose_dim(self) -> int:
         return self.n_joints * 3
 
+    dim = pose_dim  # the pose dimension every serialized family reports
+
     def copy(self) -> "VaeModel":
         return VaeModel(
             input_dim=self.input_dim,
@@ -189,6 +193,18 @@ class VaeModel:
             loss_weights=self.loss_weights,
             fit_meta=dict(self.fit_meta),
         )
+
+    def to_params(self) -> dict:
+        return {"input_dim": self.input_dim, "latent_dim": self.latent_dim,
+                "encoder": mlp_to_doc(self.encoder), "decoder": mlp_to_doc(self.decoder),
+                "loss_weights": asdict(self.loss_weights)}
+
+    @classmethod
+    def from_params(cls, params, meta) -> "VaeModel":
+        return cls(input_dim=int(params["input_dim"]), latent_dim=int(params["latent_dim"]),
+                   encoder=mlp_from_doc(params["encoder"]),
+                   decoder=mlp_from_doc(params["decoder"]),
+                   loss_weights=LossWeights(**params["loss_weights"]), fit_meta=dict(meta))
 
 
 def build_vae(n_joints: int, latent_dim: int = 8, hidden=(64, 64), seed: int = 0,
@@ -574,6 +590,14 @@ class VaeEnergyPrior(PosePrior):
 
     def grad_log_prob(self, x) -> np.ndarray:
         return -vae_prior_energy(self.model, x)[1]
+
+    def support_points(self, count: int, rng: np.random.Generator, h: float) -> np.ndarray:
+        # A clipped normal: no joint's rotation angle exceeds 2.5 rad.
+        points = rng.normal(0.0, 0.7, (count, self.dim))
+        joints = points.reshape(count, -1, 3)
+        norms = np.linalg.norm(joints, axis=2, keepdims=True)
+        scale = np.where(norms > 2.5, 2.5 / norms, 1.0)
+        return (joints * scale).reshape(count, self.dim)
 
 
 def decode_to_pose(model: VaeModel, z) -> np.ndarray:

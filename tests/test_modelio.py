@@ -1,3 +1,4 @@
+import json
 from pathlib import Path
 
 import numpy as np
@@ -8,12 +9,15 @@ from posepriors.errors import DataError
 from posepriors.priors import (
     BoxLimitModel,
     GammaModel,
+    GmmModel,
     TemporalGmmModel,
     fit_gmm_em,
     fit_mvn,
     fit_temporal_gmm,
 )
 from posepriors.posedata import MotionSequence, compute_deltas
+
+NAMES = ["mvn", "gmm", "gamma", "box", "temporal_gmm", "vae"]
 
 
 def all_models():
@@ -90,6 +94,21 @@ class TestRoundTrip:
         b = vae.total_loss(loaded, r, seed=4)
         assert a == b
 
+    @pytest.mark.parametrize("name", NAMES)
+    def test_extra_param_keys_are_ignored(self, name):
+        doc = json.loads(modelio.canonical_dumps(modelio.model_to_doc(all_models()[name])))
+        first = modelio.canonical_dumps(doc)
+        doc["params"]["note"] = "written by a later version"
+        again = modelio.canonical_dumps(modelio.model_to_doc(modelio.model_from_doc(doc)))
+        assert again == first
+
+    def test_box_stiffness_loads_as_float(self):
+        doc = modelio.model_to_doc(all_models()["box"])
+        doc["params"]["stiffness"] = 3
+        loaded = modelio.model_from_doc(doc)
+        assert type(loaded.stiffness) is float
+        assert modelio.model_to_doc(loaded)["params"]["stiffness"] == 3.0
+
 
 class TestEarlierFiles:
     """tests/data holds one small model file per model_type, written by an
@@ -136,3 +155,40 @@ class TestErrors:
             modelio.model_from_doc(
                 {"format": "pose-prior v1", "model_type": "mvn", "params": {"mean": [0.0]}}
             )
+
+    @pytest.mark.parametrize("name, change, match", [
+        ("mvn", {"model_type": ["mvn"]}, "unknown model_type"),
+        ("mvn", {"model_type": None}, "unknown model_type"),
+        ("mvn", {"model_type": {"a": 1}}, "unknown model_type"),
+        ("mvn", {"params": [0.0, 1.0]}, "malformed 'mvn'"),
+    ] + [(name, {"fit_metadata": None}, f"malformed '{name}'") for name in NAMES])
+    def test_malformed_envelope(self, name, change, match):
+        doc = json.loads(modelio.canonical_dumps(modelio.model_to_doc(all_models()[name])))
+        doc.update(change)
+        with pytest.raises(DataError, match=match):
+            modelio.model_from_doc(doc)
+
+
+class TestRegistry:
+    def test_every_family_ships_a_resave_fixture(self):
+        stems = {path.stem for path in TestEarlierFiles.DATA.glob("*.json")}
+        assert set(modelio.FAMILIES) == stems
+
+    def test_unregistered_object_is_not_serializable(self):
+        with pytest.raises(TypeError, match="cannot serialize"):
+            modelio.model_to_doc(object())
+
+    def test_energy_adapter_is_not_serializable(self):
+        with pytest.raises(TypeError, match="cannot serialize"):
+            modelio.model_to_doc(vae.VaeEnergyPrior(all_models()["vae"]))
+
+    def test_subclass_saves_as_its_family(self):
+        class TaggedGmm(GmmModel):
+            pass
+
+        gmm = all_models()["gmm"]
+        tagged = TaggedGmm(weights=gmm.weights, means=gmm.means, covs=gmm.covs,
+                           fit_meta=gmm.fit_meta)
+        doc = modelio.model_to_doc(tagged)
+        assert doc["model_type"] == "gmm"
+        assert modelio.canonical_dumps(doc) == modelio.canonical_dumps(modelio.model_to_doc(gmm))
