@@ -9,8 +9,6 @@ path takes a --seed so runs are byte-reproducible.
 from __future__ import annotations
 
 import argparse
-import json
-import os
 import re
 import sys
 
@@ -48,13 +46,13 @@ def _emit(doc: dict, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _parse_dims(text: str | None):
+def _parse_ints(text: str | None, flag: str):
     if text is None:
         return None
     try:
         return [int(tok) for tok in text.split(",") if tok.strip() != ""]
     except ValueError:
-        raise UsageError(f"--dims must be a comma-separated integer list, got {text!r}")
+        raise UsageError(f"{flag} must be a comma-separated integer list, got {text!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +130,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_analyze(args) -> int:
     data = posedata.load_pose_csv(args.data)
-    dims = _parse_dims(args.dims)
+    dims = _parse_ints(args.dims, "--dims")
     rng = np.random.default_rng(args.seed)
     n = data.n_samples
     if n > args.count:
@@ -166,7 +164,7 @@ def _cmd_train_vae(args) -> int:
     data = posedata.load_pose_csv(args.data)
     if data.dim % 3 != 0:
         raise DataError("train-vae needs a dataset with 3 columns per joint")
-    hidden = tuple(int(tok) for tok in args.hidden.split(",") if tok.strip())
+    hidden = _parse_ints(args.hidden, "--hidden")
     model = vae.build_vae(
         n_joints=data.dim // 3, latent_dim=args.latent, hidden=hidden, seed=args.seed
     )
@@ -192,13 +190,7 @@ def _cmd_train_vae(args) -> int:
 
 
 def _cmd_recover(args) -> int:
-    if not os.path.exists(args.obs):
-        raise DataError(f"no such file: {args.obs}")
-    with open(args.obs, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"{args.obs}: invalid JSON ({exc})") from None
+    doc = posedata.read_json(args.obs)
     try:
         obs = recovery.Observation(
             values=doc["values"],

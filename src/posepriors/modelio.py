@@ -9,12 +9,12 @@ preserved verbatim on load rather than recomputed.
 from __future__ import annotations
 
 import json
-import os
 
 import numpy as np
 
 from . import priors, vae
 from .errors import DataError
+from .posedata import read_json
 
 MODEL_FORMAT = "pose-prior v1"
 
@@ -82,11 +82,4 @@ def save_model(model, path) -> None:
 
 
 def load_model(path):
-    if not os.path.exists(path):
-        raise DataError(f"no such file: {path}")
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"{path}: invalid JSON ({exc})") from None
-    return model_from_doc(doc)
+    return model_from_doc(read_json(path))

@@ -1,11 +1,16 @@
 """Pose data model and ingestion.
 
 Pose vectors are flat float64 arrays of axis-angle components in radians,
-three per joint. This module covers the CSV formats, a seeded synthetic
-dataset generator that stands in for motion-capture corpora, Rodrigues
-conversion between flat axis-angle pose vectors and (J, 3, 3) rotation
-stacks (input checks here, the batched kernels in `rotations`), and the
-extraction of frame-to-frame motion deltas.
+three per joint. This module is the one home of the library's file
+reading: `read_json` for every JSON document (specs, models,
+observations), and one reader and one writer shared by the pose and
+sequence CSV layouts. Every reader turns a missing file, invalid JSON, a
+bad marker or header, or a bad row into a `DataError` that names the file
+(and, for a CSV row, its line and column). The module also holds a seeded
+synthetic dataset generator that stands in for motion-capture corpora,
+Rodrigues conversion between flat axis-angle pose vectors and (J, 3, 3)
+rotation stacks (input checks here, the batched kernels in `rotations`),
+and the extraction of frame-to-frame motion deltas.
 """
 
 from __future__ import annotations
@@ -129,55 +134,73 @@ class TemporalDelta:
 
 
 # ---------------------------------------------------------------------------
-# CSV I/O
+# File I/O: one reader per format, one writer for both CSV layouts
 
 
-def _read_lines(path) -> list[str]:
+def _read_text(path) -> str:
     if not os.path.exists(path):
         raise DataError(f"no such file: {path}")
     with open(path, "r", encoding="utf-8") as fh:
-        return fh.read().splitlines()
+        return fh.read()
 
 
-def _parse_rows(lines: list[str], path, n_cols: int) -> np.ndarray:
-    rows = []
-    for ln, line in enumerate(lines, start=3):  # data starts at file line 3
-        cells = line.split(",")
-        if len(cells) != n_cols:
-            raise DataError(
-                f"{path}: line {ln} has {len(cells)} cells, expected {n_cols}"
-            )
-        row = []
-        for col, cell in enumerate(cells):
-            try:
-                row.append(float(cell))
-            except ValueError:
-                raise DataError(
-                    f"{path}: non-numeric value {cell!r} at line {ln}, column {col + 1}"
-                ) from None
-        rows.append(row)
-    if not rows:
-        raise DataError(f"{path}: empty body")
-    return np.asarray(rows, dtype=float)
+def read_json(path):
+    """Parse a JSON document; a missing file or invalid JSON is a DataError."""
+    text = _read_text(path)
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{path}: invalid JSON ({exc})") from None
 
 
-def load_pose_csv(path) -> PoseDataset:
-    """Load a `# pose-csv v1` file; dimension is inferred from the header."""
-    lines = _read_lines(path)
+def _read_table(path, first_column: str | None = None) -> tuple[list[str], np.ndarray]:
+    """Header and (N, C) body of a `# pose-csv v1` file. Marker, header and
+    first-column faults are reported before any row fault."""
+    lines = _read_text(path).splitlines()
     if not lines or lines[0].strip() != CSV_MARKER:
         raise DataError(f"{path}: missing '{CSV_MARKER}' marker line")
     if len(lines) < 2:
         raise DataError(f"{path}: missing header line")
     header = [c.strip() for c in lines[1].split(",")]
-    values = _parse_rows(lines[2:], path, len(header))
+    if first_column is not None and header[0] != first_column:
+        raise DataError(f"{path}: first column must be {first_column}")
+    rows = []
+    for ln, line in enumerate(lines[2:], start=3):  # data starts at file line 3
+        cells = line.split(",")
+        if len(cells) != len(header):
+            raise DataError(
+                f"{path}: line {ln} has {len(cells)} cells, expected {len(header)}"
+            )
+        try:
+            rows.append(list(map(float, cells)))
+        except ValueError:
+            for col, cell in enumerate(cells):
+                try:
+                    float(cell)
+                except ValueError:
+                    raise DataError(
+                        f"{path}: non-numeric value {cell!r} at line {ln}, column {col + 1}"
+                    ) from None
+    if not rows:
+        raise DataError(f"{path}: empty body")
+    return header, np.asarray(rows, dtype=float)
+
+
+def _table_text(header, rows: np.ndarray) -> str:
+    """The marker, the header and one shortest-repr line per row."""
+    lines = [CSV_MARKER, ",".join(header)]
+    lines.extend(",".join(map(repr, row.tolist())) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+def load_pose_csv(path) -> PoseDataset:
+    """Load a `# pose-csv v1` file; dimension is inferred from the header."""
+    header, values = _read_table(path)
     return PoseDataset(dim=len(header), column_names=header, samples=values, source=str(path))
 
 
 def pose_csv_text(dataset: PoseDataset) -> str:
-    lines = [CSV_MARKER, ",".join(dataset.column_names)]
-    for row in dataset.samples:
-        lines.append(",".join(repr(float(v)) for v in row))
-    return "\n".join(lines) + "\n"
+    return _table_text(dataset.column_names, dataset.samples)
 
 
 def save_pose_csv(dataset: PoseDataset, path) -> None:
@@ -187,15 +210,7 @@ def save_pose_csv(dataset: PoseDataset, path) -> None:
 
 def load_sequence_csv(path) -> MotionSequence:
     """Load a sequence CSV: pose columns preceded by a time_s column."""
-    lines = _read_lines(path)
-    if not lines or lines[0].strip() != CSV_MARKER:
-        raise DataError(f"{path}: missing '{CSV_MARKER}' marker line")
-    if len(lines) < 2:
-        raise DataError(f"{path}: missing header line")
-    header = [c.strip() for c in lines[1].split(",")]
-    if not header or header[0] != "time_s":
-        raise DataError(f"{path}: first column must be time_s")
-    values = _parse_rows(lines[2:], path, len(header))
+    _, values = _read_table(path, first_column="time_s")
     try:
         return MotionSequence(timestamps=values[:, 0], poses=values[:, 1:])
     except DataError as exc:
@@ -204,12 +219,9 @@ def load_sequence_csv(path) -> MotionSequence:
 
 def save_sequence_csv(seq: MotionSequence, path, column_names=None) -> None:
     names = column_names or default_column_names(seq.dim)
+    text = _table_text(["time_s", *names], np.column_stack([seq.timestamps, seq.poses]))
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(CSV_MARKER + "\n")
-        fh.write(",".join(["time_s"] + list(names)) + "\n")
-        for t, row in zip(seq.timestamps, seq.poses):
-            cells = [repr(float(t))] + [repr(float(v)) for v in row]
-            fh.write(",".join(cells) + "\n")
+        fh.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -238,6 +250,9 @@ class SynthSpec:
             raise DataError("count must be >= 1")
         if not self.dims:
             raise DataError("spec assigns no dimensions")
+        if not isinstance(self.dims, (list, tuple)) or not all(
+                isinstance(spec, dict) for spec in self.dims):
+            raise DataError("dims must be a list of generator objects")
         required = {
             "normal": ("mu", "sigma"),
             "gamma": ("alpha", "beta"),
@@ -270,16 +285,10 @@ class SynthSpec:
 
     @classmethod
     def from_json(cls, path) -> "SynthSpec":
-        if not os.path.exists(path):
-            raise DataError(f"no such file: {path}")
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                doc = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{path}: invalid JSON ({exc})") from None
+        doc = read_json(path)
         try:
             return cls(dims=doc["dims"], count=int(doc["count"]), seed=int(doc.get("seed", 0)))
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise DataError(f"{path}: malformed synthetic spec ({exc})") from None
 
 

@@ -57,6 +57,17 @@ class TestGen:
     def test_missing_spec_is_data_error(self, workdir):
         assert main(["gen", "--spec", str(workdir / "no.json")]) == 2
 
+    @pytest.mark.parametrize("doc", [
+        {"dims": [1], "count": 3},
+        {"dims": {"a": 1}, "count": 3},
+        {"dims": SPEC_DOC["dims"], "count": "many"},
+    ])
+    def test_malformed_spec_is_data_error_naming_the_file(self, workdir, capsys, doc):
+        spec = workdir / "bad.json"
+        spec.write_text(json.dumps(doc))
+        assert main(["gen", "--spec", str(spec)]) == 2
+        assert f"data error: {spec}: malformed synthetic spec" in capsys.readouterr().err
+
 
 class TestFitEval:
     def test_fit_then_eval_matches_library(self, workdir):
@@ -175,6 +186,12 @@ class TestTrainVae:
         assert main(["grad-check", "--model", str(model_path), "--count", "20",
                      "--seed", "9"]) == 0
 
+    def test_non_integer_hidden_is_usage_error(self, workdir, capsys):
+        assert main(["train-vae", "--data", str(workdir / "d.csv"), "--epochs", "1",
+                     "--hidden", "a,b"]) == 1
+        assert "usage error: --hidden must be a comma-separated integer list" in (
+            capsys.readouterr().err)
+
     def test_reruns_byte_identical(self, workdir):
         blobs = []
         for name in ("v1.json", "v2.json"):
@@ -248,6 +265,18 @@ class TestRecover:
         obs_path.write_text('{"noise_sigma": 0.3}')
         assert main(["recover", "--obs", str(obs_path),
                      "--model", str(model_path)]) == 2
+
+    def test_missing_or_invalid_obs_is_data_error(self, workdir, capsys):
+        model_path = workdir / "m.json"
+        assert main(["fit", "--model", "mvn", "--data", str(workdir / "d.csv"),
+                     "--out", str(model_path)]) == 0
+        missing = workdir / "no.json"
+        assert main(["recover", "--obs", str(missing), "--model", str(model_path)]) == 2
+        assert f"no such file: {missing}" in capsys.readouterr().err
+        bad = workdir / "bad.json"
+        bad.write_text('{"values": [0.1,')
+        assert main(["recover", "--obs", str(bad), "--model", str(model_path)]) == 2
+        assert f"{bad}: invalid JSON" in capsys.readouterr().err
 
 
 class TestGradCheck:

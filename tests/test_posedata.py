@@ -1,7 +1,10 @@
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from posepriors import posedata
 from posepriors.errors import DataError
@@ -14,6 +17,7 @@ from posepriors.posedata import (
     load_pose_csv,
     load_sequence_csv,
     matrices_to_axis_angle,
+    pose_csv_text,
     save_pose_csv,
     save_sequence_csv,
     synth_generate,
@@ -103,6 +107,115 @@ class TestSequenceCsv:
         path.write_text("# pose-csv v1\ntime_s,a\n0.0,1.0\n0.0,2.0\n")
         with pytest.raises(DataError, match="increasing"):
             load_sequence_csv(path)
+
+
+AWKWARD = [-0.0, 5e-324, 0.1, 1 / 3, 2.0, 1e22]
+
+
+def _parses(cell):
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
+
+
+# Cells with no "," and no line break; float() decides which are numbers.
+CELLS = st.one_of(
+    st.text(alphabet="0123456789+-.eE_ \tinfaINFA\u0661\uff11", max_size=8),
+    st.sampled_from(["-0.0", "5e-324", "1e-400", "1e400", "nan", "-inf", "1_000",
+                     "_1", "1__0", "0x1", "1e", ".", "+.5", " 7 ", "", "infinity",
+                     "1.7976931348623157e308", "2.4703282292062328e-324"]),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+)
+READER_PROPERTY = settings(max_examples=150, derandomize=True, deadline=None, database=None)
+
+
+class TestIoContract:
+    def test_pose_csv_text_bytes(self):
+        ds = PoseDataset(dim=6, column_names=list("abcdef"),
+                         samples=np.array([AWKWARD, AWKWARD[::-1]]))
+        assert pose_csv_text(ds) == (
+            "# pose-csv v1\n"
+            "a,b,c,d,e,f\n"
+            "-0.0,5e-324,0.1,0.3333333333333333,2.0,1e+22\n"
+            "1e+22,2.0,0.3333333333333333,0.1,5e-324,-0.0\n"
+        )
+
+    def test_sequence_csv_bytes(self, tmp_path):
+        seq = MotionSequence(timestamps=np.array(AWKWARD[:3]),
+                             poses=np.array([AWKWARD[3:5], [1e22, -0.0], [0.1, 5e-324]]))
+        path = tmp_path / "s.csv"
+        save_sequence_csv(seq, path)
+        assert path.read_bytes() == (
+            b"# pose-csv v1\n"
+            b"time_s,c0,c1\n"
+            b"-0.0,0.3333333333333333,2.0\n"
+            b"5e-324,1e+22,-0.0\n"
+            b"0.1,0.1,5e-324\n"
+        )
+
+    def test_header_faults_come_before_row_faults(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text("# pose-csv v1\na,b\noops,1.0\n")
+        with pytest.raises(DataError, match="time_s"):
+            load_sequence_csv(path)
+        path.write_text("# pose-csv v0\na,b\noops,1.0\n")
+        with pytest.raises(DataError, match="marker"):
+            load_pose_csv(path)
+
+    @READER_PROPERTY
+    @given(st.lists(st.lists(CELLS, min_size=3, max_size=3), min_size=1, max_size=3))
+    def test_reader_accepts_exactly_what_float_accepts(self, tmp_path_factory, grid):
+        path = tmp_path_factory.getbasetemp() / "drawn.csv"
+        body = "".join(",".join(row) + "\n" for row in grid)
+        path.write_text("# pose-csv v1\na,b,c\n" + body, encoding="utf-8")
+        bad = [(ln, col, cell) for ln, row in enumerate(grid, start=3)
+               for col, cell in enumerate(row, start=1) if not _parses(cell)]
+        if bad:
+            ln, col, cell = bad[0]
+            message = f"non-numeric value {cell!r} at line {ln}, column {col}"
+            with pytest.raises(DataError, match=re.escape(message)):
+                load_pose_csv(path)
+            return
+        want = np.array([[float(cell) for cell in row] for row in grid])
+        if not np.all(np.isfinite(want)):
+            with pytest.raises(DataError, match="non-finite"):
+                load_pose_csv(path)
+            return
+        assert load_pose_csv(path).samples.tobytes() == want.tobytes()
+
+
+class TestSynthSpecJson:
+    def write(self, tmp_path, text):
+        path = tmp_path / "spec.json"
+        path.write_text(text)
+        return path
+
+    def test_missing_file(self, tmp_path):
+        with pytest.raises(DataError, match="no such file"):
+            SynthSpec.from_json(tmp_path / "nope.json")
+
+    def test_invalid_json(self, tmp_path):
+        path = self.write(tmp_path, '{"dims": [')
+        with pytest.raises(DataError, match=re.escape(f"{path}: invalid JSON")):
+            SynthSpec.from_json(path)
+
+    @pytest.mark.parametrize("doc", [
+        '{"dims": "normal", "count": 3}',
+        '{"dims": [{"kind": "normal", "mu": 0, "sigma": 1}], "count": 1e400}',
+        '{"dims": [{"kind": "normal", "mu": 0, "sigma": "wide"}], "count": 3}',
+        '{"dims": [{"kind": "normal", "mu": 0, "sigma": -1}], "count": 3}',
+        '[1, 2]',
+    ])
+    def test_malformed_spec_names_the_file(self, tmp_path, doc):
+        path = self.write(tmp_path, doc)
+        with pytest.raises(DataError, match=re.escape(f"{path}: malformed synthetic spec")):
+            SynthSpec.from_json(path)
+
+    def test_dims_must_be_generator_objects(self):
+        with pytest.raises(DataError, match="list of generator objects"):
+            SynthSpec(dims=[1], count=3)
 
 
 class TestSynthGenerate:

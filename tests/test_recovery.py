@@ -238,6 +238,44 @@ class TestCurvatureSafeguard:
         assert len(kept) < offered
 
 
+class TestNonDescentReset:
+    def test_non_descent_direction_clears_memory_and_steps_down_gradient(self, monkeypatch):
+        # The third L-BFGS direction is replaced by +g, which is not a descent
+        # direction; the next trial point must be x + step * (-g) with the
+        # curvature memory empty.
+        obs, prior = oracle_66()
+        step = 0.25
+        seen = {"directions": 0, "memory": None, "trials": []}
+        direction = recovery._lbfgs_direction
+
+        def ascent_once(g, pairs):
+            seen["directions"] += 1
+            if seen["directions"] == 3:
+                seen.update(memory=pairs, size=len(pairs), x=seen["grad_at"], g=g.copy())
+                return g.copy()
+            return direction(g, pairs)
+
+        class Recording(CountingPrior):
+            def log_prob(self, x):
+                if seen["memory"] is not None and not seen["trials"]:
+                    seen["trials"].append((x.copy(), len(seen["memory"])))
+                return super().log_prob(x)
+
+            def grad_log_prob(self, x):
+                seen["grad_at"] = x.copy()
+                return super().grad_log_prob(x)
+
+        monkeypatch.setattr(recovery, "_lbfgs_direction", ascent_once)
+        result = recover_pose(obs, Recording(prior), lam=1.0, max_iter=200, step=step,
+                              tol=1e-9)
+        assert seen["size"] >= 2
+        [(trial, memory_size)] = seen["trials"]
+        assert memory_size == 0
+        assert np.array_equal(trial, seen["x"] + step * -seen["g"])
+        assert np.all(np.diff(result.objective_trace) <= 0.0)
+        assert seen["directions"] > 3
+
+
 PROPERTY = settings(max_examples=25, derandomize=True, deadline=None, database=None)
 
 
