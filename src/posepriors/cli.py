@@ -197,7 +197,7 @@ def _cmd_recover(args) -> int:
             noise_sigma=float(doc["noise_sigma"]),
             mask=doc.get("mask"),
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{args.obs}: malformed observation ({exc})") from None
     prior = _load_prior(args.model)
     result = recovery.recover_pose(

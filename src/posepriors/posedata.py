@@ -6,17 +6,21 @@ reading: `read_json` for every JSON document (specs, models,
 observations), and one reader and one writer shared by the pose and
 sequence CSV layouts. Every reader turns a missing file, invalid JSON, a
 bad marker or header, or a bad row into a `DataError` that names the file
-(and, for a CSV row, its line and column). The module also holds a seeded
-synthetic dataset generator that stands in for motion-capture corpora,
-Rodrigues conversion between flat axis-angle pose vectors and (J, 3, 3)
-rotation stacks (input checks here, the batched kernels in `rotations`),
-and the extraction of frame-to-frame motion deltas.
+(and, for a CSV row, its line and column). CSV rows are parsed by numpy's
+C reader; a body that reader does not take exactly goes through the
+per-line parser, so what is accepted and every message are those of
+`float()` on each cell. The module also holds a seeded synthetic dataset
+generator that stands in for motion-capture corpora, Rodrigues conversion
+between flat axis-angle pose vectors and (J, 3, 3) rotation stacks (input
+checks here, the batched kernels in `rotations`), and the extraction of
+frame-to-frame motion deltas.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 from dataclasses import dataclass
 
@@ -156,7 +160,8 @@ def read_json(path):
 def _read_table(path, first_column: str | None = None) -> tuple[list[str], np.ndarray]:
     """Header and (N, C) body of a `# pose-csv v1` file. Marker, header and
     first-column faults are reported before any row fault."""
-    lines = _read_text(path).splitlines()
+    text = _read_text(path)
+    lines = text.splitlines()
     if not lines or lines[0].strip() != CSV_MARKER:
         raise DataError(f"{path}: missing '{CSV_MARKER}' marker line")
     if len(lines) < 2:
@@ -164,8 +169,22 @@ def _read_table(path, first_column: str | None = None) -> tuple[list[str], np.nd
     header = [c.strip() for c in lines[1].split(",")]
     if first_column is not None and header[0] != first_column:
         raise DataError(f"{path}: first column must be {first_column}")
+    # numpy's C reader first, its result kept only at one row per body line
+    # and one column per header cell. Bodies it would read differently from
+    # float() skip it: it drops empty lines (warning when none are left) and
+    # strips U+001F around a number. Every row fault comes from the per-line
+    # parser below.
+    body = lines[2:]
+    if body and all(body) and "\x1f" not in text:
+        try:
+            values = np.loadtxt(body, delimiter=",", comments=None, dtype=float, ndmin=2)
+        except ValueError:
+            pass
+        else:
+            if values.shape == (len(body), len(header)):
+                return header, values
     rows = []
-    for ln, line in enumerate(lines[2:], start=3):  # data starts at file line 3
+    for ln, line in enumerate(body, start=3):  # data starts at file line 3
         cells = line.split(",")
         if len(cells) != len(header):
             raise DataError(
@@ -230,6 +249,15 @@ def save_sequence_csv(seq: MotionSequence, path, column_names=None) -> None:
 _SYNTH_KINDS = ("normal", "gamma", "mixture", "uniform")
 
 
+def _whole_number(value, key: str, minimum: int) -> int:
+    """`value` as an int when it is a whole number >= minimum (2.0 is 2)."""
+    whole = isinstance(value, numbers.Integral) or (
+        isinstance(value, float) and value.is_integer())
+    if not whole or value < minimum:
+        raise DataError(f"{key} must be a whole number >= {minimum}, got {value!r}")
+    return int(value)
+
+
 @dataclass
 class SynthSpec:
     """Per-dimension generator assignments for synthetic pose datasets.
@@ -246,8 +274,8 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.count < 1:
-            raise DataError("count must be >= 1")
+        self.count = _whole_number(self.count, "count", 1)
+        self.seed = _whole_number(self.seed, "seed", 0)
         if not self.dims:
             raise DataError("spec assigns no dimensions")
         if not isinstance(self.dims, (list, tuple)) or not all(
@@ -287,8 +315,8 @@ class SynthSpec:
     def from_json(cls, path) -> "SynthSpec":
         doc = read_json(path)
         try:
-            return cls(dims=doc["dims"], count=int(doc["count"]), seed=int(doc.get("seed", 0)))
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            return cls(dims=doc["dims"], count=doc["count"], seed=doc.get("seed", 0))
+        except (KeyError, TypeError, ValueError) as exc:
             raise DataError(f"{path}: malformed synthetic spec ({exc})") from None
 
 

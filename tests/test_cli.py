@@ -68,6 +68,27 @@ class TestGen:
         assert main(["gen", "--spec", str(spec)]) == 2
         assert f"data error: {spec}: malformed synthetic spec" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [
+        ("count", 2.9), ("count", 0), ("seed", -1), ("seed", 1.5), ("seed", "x"),
+    ])
+    def test_count_and_seed_must_be_whole_numbers(self, workdir, capsys, key, value):
+        spec = workdir / "bad.json"
+        spec.write_text(json.dumps({**SPEC_DOC, key: value}))
+        out = workdir / "never.csv"
+        assert main(["gen", "--spec", str(spec), "--out", str(out)]) == 2
+        assert (f"data error: {spec}: malformed synthetic spec ({key} must be a whole number"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_integral_float_count_and_seed_are_whole_numbers(self, workdir):
+        a = workdir / "a.csv"
+        b = workdir / "b.csv"
+        spec = workdir / "float.json"
+        spec.write_text(json.dumps({**SPEC_DOC, "count": 300.0, "seed": 5.0}))
+        assert main(["gen", "--spec", str(workdir / "spec.json"), "--out", str(a)]) == 0
+        assert main(["gen", "--spec", str(spec), "--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+
 
 class TestFitEval:
     def test_fit_then_eval_matches_library(self, workdir):
@@ -265,6 +286,23 @@ class TestRecover:
         obs_path.write_text('{"noise_sigma": 0.3}')
         assert main(["recover", "--obs", str(obs_path),
                      "--model", str(model_path)]) == 2
+
+    @pytest.mark.parametrize("doc, detail", [
+        ({"values": [0.5, -0.9, 0.0, 0.2, 0.1, -0.3], "noise_sigma": "x"},
+         "could not convert string to float: 'x'"),
+        ({"values": "abc", "noise_sigma": 0.3}, "could not convert string to float: 'abc'"),
+        ({"values": [0.5, -0.9, 0.0, 0.2, 0.1, -0.3], "noise_sigma": -1},
+         "noise_sigma must be positive"),
+    ])
+    def test_malformed_obs_names_the_file(self, workdir, capsys, doc, detail):
+        model_path = workdir / "m.json"
+        assert main(["fit", "--model", "mvn", "--data", str(workdir / "d.csv"),
+                     "--out", str(model_path)]) == 0
+        obs_path = workdir / "obs.json"
+        obs_path.write_text(json.dumps(doc))
+        assert main(["recover", "--obs", str(obs_path), "--model", str(model_path)]) == 2
+        assert (f"data error: {obs_path}: malformed observation ({detail})"
+                in capsys.readouterr().err)
 
     def test_missing_or_invalid_obs_is_data_error(self, workdir, capsys):
         model_path = workdir / "m.json"

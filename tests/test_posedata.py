@@ -1,5 +1,7 @@
+import json
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -186,6 +188,82 @@ class TestIoContract:
         assert load_pose_csv(path).samples.tobytes() == want.tobytes()
 
 
+def _table_outcome(path, first_column=None):
+    """What `_read_table` gives: (header, shape, bytes) or the DataError text."""
+    try:
+        header, values = posedata._read_table(path, first_column)
+    except DataError as exc:
+        return str(exc)
+    return header, values.shape, values.tobytes()
+
+
+def _per_line_outcome(path, first_column=None):
+    """`_table_outcome` with numpy's reader failing, so every row is parsed by float()."""
+    with mock.patch.object(posedata.np, "loadtxt", side_effect=ValueError):
+        return _table_outcome(path, first_column)
+
+
+# Cells as CELLS draws them, plus characters where numpy's reader and float()
+# could part: a comment sign, the unit separator and non-ASCII spaces.
+LAYOUT_CELLS = st.one_of(CELLS, st.text(alphabet="12.e-#\x1f\xa0\u3000 ", max_size=4))
+
+
+class TestFastPathAgreesWithPerLineParser:
+    """The C reader's result is used only where it is bitwise what the per-line
+    parser gives; every other body gets the per-line parser's own DataError."""
+
+    @READER_PROPERTY
+    @given(st.integers(min_value=1, max_value=3),
+           st.lists(st.lists(LAYOUT_CELLS, max_size=4), max_size=4),
+           st.sampled_from(["\n", "\r\n", "\r"]),
+           st.booleans())
+    def test_drawn_layouts(self, tmp_path_factory, n_cols, grid, newline, trailing):
+        path = tmp_path_factory.getbasetemp() / "layout.csv"
+        lines = ["# pose-csv v1", ",".join("abc"[:n_cols])] + [",".join(r) for r in grid]
+        path.write_bytes((newline.join(lines) + (newline if trailing else "")).encode())
+        assert _table_outcome(path) == _per_line_outcome(path)
+
+    @pytest.mark.parametrize("header, body, want", [
+        ("a,b", "1,2\n\n3,4\n", "line 4 has 1 cells, expected 2"),
+        ("a,b", "1,2\n3,4\n\n", "line 5 has 1 cells, expected 2"),
+        ("a,b", "1_0,2\n", [[10.0, 2.0]]),
+        ("a,b", "1,#\n", "non-numeric value '#' at line 3, column 2"),
+        ("a,b", "1,2 # note\n", "non-numeric value '2 # note' at line 3, column 2"),
+        ("a,b", "1,2\r\n3,4\r\n", [[1.0, 2.0], [3.0, 4.0]]),
+        ("a,b", " 1 ,\t2 \n", [[1.0, 2.0]]),
+        ("a,b", "1,\u20282\n", "non-numeric value '' at line 3, column 2"),
+        ("a,b", "1\x1f,2\n", "non-numeric value '1\\x1f' at line 3, column 1"),
+        ("a,b", "1,2,3\n4,5,6\n", "line 3 has 3 cells, expected 2"),
+        ("a,b", "1,2\n", [[1.0, 2.0]]),
+        ("a", "1\n2\n", [[1.0], [2.0]]),
+        ("a,b", "", "empty body"),
+        ("a,b", "\n", "line 3 has 1 cells, expected 2"),
+    ])
+    def test_edge_bodies(self, tmp_path, header, body, want):
+        path = tmp_path / "d.csv"
+        path.write_bytes(f"# pose-csv v1\n{header}\n{body}".encode())
+        got = _table_outcome(path)
+        assert got == _per_line_outcome(path)
+        if isinstance(want, str):
+            assert got == f"{path}: {want}"
+        else:
+            want = np.array(want)
+            assert got == (header.split(","), want.shape, want.tobytes())
+
+    def test_sequence_header_fault_before_row_faults(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text("# pose-csv v1\nt,a\n0.0,1.0\n\n1.0,2.0,3.0\n")
+        with pytest.raises(DataError, match=re.escape(f"{path}: first column must be time_s")):
+            load_sequence_csv(path)
+
+    def test_clean_body_is_read_by_numpy_once(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("# pose-csv v1\na,b\n0.1,0.2\n0.3,0.4\n")
+        with mock.patch.object(posedata.np, "loadtxt", wraps=np.loadtxt) as spy:
+            assert load_pose_csv(path).samples.tolist() == [[0.1, 0.2], [0.3, 0.4]]
+        assert spy.call_count == 1
+
+
 class TestSynthSpecJson:
     def write(self, tmp_path, text):
         path = tmp_path / "spec.json"
@@ -212,6 +290,21 @@ class TestSynthSpecJson:
         path = self.write(tmp_path, doc)
         with pytest.raises(DataError, match=re.escape(f"{path}: malformed synthetic spec")):
             SynthSpec.from_json(path)
+
+    @pytest.mark.parametrize("key, value", [
+        ("count", 2.9), ("count", "3"), ("seed", -1), ("seed", 1.5), ("seed", "x"),
+    ])
+    def test_count_and_seed_must_be_whole_numbers(self, tmp_path, key, value):
+        doc = {"dims": [{"kind": "normal", "mu": 0, "sigma": 1}], "count": 3, key: value}
+        path = self.write(tmp_path, json.dumps(doc))
+        message = f"{path}: malformed synthetic spec ({key} must be a whole number"
+        with pytest.raises(DataError, match=re.escape(message)):
+            SynthSpec.from_json(path)
+
+    def test_integral_floats_are_whole_numbers(self, tmp_path):
+        doc = {"dims": [{"kind": "normal", "mu": 0, "sigma": 1}], "count": 2.0, "seed": 4.0}
+        spec = SynthSpec.from_json(self.write(tmp_path, json.dumps(doc)))
+        assert (type(spec.count), spec.count, type(spec.seed), spec.seed) == (int, 2, int, 4)
 
     def test_dims_must_be_generator_objects(self):
         with pytest.raises(DataError, match="list of generator objects"):
