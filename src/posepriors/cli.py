@@ -37,13 +37,27 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _emit(doc: dict, out_path: str | None) -> None:
-    text = modelio.canonical_dumps(doc)
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+def _emit(value, out_path: str | None, text_of=None, save=None) -> None:
+    """The one stdout-or-file choice: `text_of(value)` (`modelio.canonical_dumps`, looked up
+    per call, by default) to stdout, or to `out_path`, written by `save(value, path)` if given."""
+    text_of = text_of or modelio.canonical_dumps
+    if not out_path:
+        sys.stdout.write(text_of(value))
+    elif save:
+        save(value, out_path)
     else:
-        sys.stdout.write(text)
+        posedata.write_text(out_path, text_of(value))
+
+
+def _seed(text: str) -> int:
+    """A --seed value: a non-negative integer, checked while parsing."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return value
 
 
 def _parse_ints(text: str | None, flag: str):
@@ -63,42 +77,32 @@ def _cmd_gen(args) -> int:
     spec = posedata.SynthSpec.from_json(args.spec)
     seed = args.seed if args.seed is not None else spec.seed
     dataset = posedata.synth_generate(spec, seed=seed)
-    if args.out:
-        posedata.save_pose_csv(dataset, args.out)
-    else:
-        sys.stdout.write(posedata.pose_csv_text(dataset))
+    _emit(dataset, args.out, posedata.pose_csv_text, posedata.save_pose_csv)
     return 0
 
 
-def _fit_model(args):
-    kind = args.model
-    if kind == "temporal-gmm":
-        seq = posedata.load_sequence_csv(args.data)
-        deltas = posedata.compute_deltas(seq)
-        return priors.fit_temporal_gmm(
-            deltas, args.k, seed=args.seed or 0, reg=args.reg, tol=args.tol,
-            max_iter=args.max_iter,
-        )
-    data = posedata.load_pose_csv(args.data)
-    if kind == "mvn":
-        return priors.fit_mvn(data)
-    if kind == "gamma":
-        return priors.fit_gamma(data)
-    if kind == "gmm":
-        return priors.fit_gmm_em(
-            data, args.k, seed=args.seed or 0, reg=args.reg, tol=args.tol,
-            max_iter=args.max_iter,
-        )
-    if kind == "box":
-        return priors.box_from_data(data, stiffness=args.stiffness, margin=args.margin)
-    raise UsageError(f"unknown model family {kind!r}")
+def _em_options(args) -> dict:
+    return dict(seed=args.seed, reg=args.reg, tol=args.tol, max_iter=args.max_iter)
+
+
+# --model family -> fit(args); the order is that of the --model choices.
+_FITTERS = {
+    "mvn": lambda args: priors.fit_mvn(posedata.load_pose_csv(args.data)),
+    "gamma": lambda args: priors.fit_gamma(posedata.load_pose_csv(args.data)),
+    "gmm": lambda args: priors.fit_gmm_em(
+        posedata.load_pose_csv(args.data), args.k, **_em_options(args)),
+    "temporal-gmm": lambda args: priors.fit_temporal_gmm(
+        posedata.compute_deltas(posedata.load_sequence_csv(args.data)), args.k,
+        **_em_options(args)),
+    "box": lambda args: priors.box_from_data(
+        posedata.load_pose_csv(args.data), stiffness=args.stiffness, margin=args.margin),
+}
 
 
 def _cmd_fit(args) -> int:
     if args.model in ("gmm", "temporal-gmm") and args.k < 1:
         raise UsageError("--k must be a positive component count")
-    model = _fit_model(args)
-    _emit(modelio.model_to_doc(model), args.out)
+    _emit(modelio.model_to_doc(_FITTERS[args.model](args)), args.out)
     return 0
 
 
@@ -152,10 +156,8 @@ def _cmd_analyze(args) -> int:
         "histogram": {"edges": hist.edges, "counts": hist.counts, "total": hist.total},
     }
     if args.hist_out:
-        with open(args.hist_out, "w", encoding="utf-8") as fh:
-            fh.write("bin_lo,bin_hi,count\n")
-            for lo, hi, c in zip(hist.edges[:-1], hist.edges[1:], hist.counts):
-                fh.write(f"{float(lo)!r},{float(hi)!r},{int(c)}\n")
+        rows = zip(hist.edges[:-1].tolist(), hist.edges[1:].tolist(), hist.counts.tolist())
+        posedata.write_text(args.hist_out, posedata.csv_text(["bin_lo", "bin_hi", "count"], rows))
     _emit(report, args.out)
     return 0
 
@@ -175,17 +177,14 @@ def _cmd_train_vae(args) -> int:
     trained, trace = vae.train(model, data, cfg)
     if args.trace_out:
         vae.write_loss_trace(trace, args.trace_out)
-    if args.out:
-        modelio.save_model(trained, args.out)
-        summary = {
+    _emit(modelio.model_to_doc(trained), args.out)
+    if args.out:  # the model went to a file: a summary on stdout
+        _emit({
             "model_file": args.out,
             "epochs": args.epochs,
             "first_epoch_total": trace[0].l_total,
             "final_epoch_total": trace[-1].l_total,
-        }
-        sys.stdout.write(modelio.canonical_dumps(summary))
-    else:
-        _emit(modelio.model_to_doc(trained), None)
+        }, None)
     return 0
 
 
@@ -235,18 +234,17 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("gen", help="generate a synthetic pose CSV from a JSON spec")
     p.add_argument("--spec", required=True)
-    p.add_argument("--seed", type=int, default=None,
+    p.add_argument("--seed", type=_seed, default=None,
                    help="overrides the seed recorded in the spec")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("fit", help="fit a prior family to a dataset")
-    p.add_argument("--model", required=True,
-                   choices=["mvn", "gamma", "gmm", "temporal-gmm", "box"])
+    p.add_argument("--model", required=True, choices=list(_FITTERS))
     p.add_argument("--data", required=True)
     p.add_argument("--out")
     p.add_argument("--k", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--reg", type=float, default=1e-6)
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--max-iter", type=int, default=500)
@@ -265,7 +263,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--dims", default=None)
     p.add_argument("--count", type=int, default=3000)
     p.add_argument("--bins", type=int, default=50)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--feasible-lo", type=float, default=-1e9)
     p.add_argument("--feasible-hi", type=float, default=1e9)
     p.add_argument("--out")
@@ -277,7 +275,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--epochs", type=int, default=50)
     p.add_argument("--batch", type=int, default=32)
     p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--latent", type=int, default=8)
     p.add_argument("--hidden", default="64,64")
     p.add_argument("--optimizer", choices=["sgd", "adam"], default="adam")
@@ -298,7 +296,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("grad-check", help="compare analytic and numeric gradients")
     p.add_argument("--model", required=True)
     p.add_argument("--count", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_grad_check)
 

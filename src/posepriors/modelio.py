@@ -14,7 +14,7 @@ import numpy as np
 
 from . import priors, vae
 from .errors import DataError
-from .posedata import read_json
+from .posedata import read_json, write_text
 
 MODEL_FORMAT = "pose-prior v1"
 
@@ -25,23 +25,20 @@ FAMILIES = {cls.MODEL_TYPE: cls for cls in (
     priors.BoxLimitModel, vae.VaeModel)}
 
 
-def _plain(value):
-    """Recursively convert numpy scalars/arrays to plain Python values."""
+def _numpy_leaf(value):
+    """json's `default` hook: numpy arrays and scalars (other than np.float64,
+    a float) as plain Python values; anything else stays a TypeError."""
     if isinstance(value, np.ndarray):
-        return _plain(value.tolist())
-    if isinstance(value, (np.floating, float)):
+        return value.tolist()
+    if isinstance(value, np.floating):
         return float(value)
-    if isinstance(value, (np.integer, int)) and not isinstance(value, bool):
+    if isinstance(value, np.integer):
         return int(value)
-    if isinstance(value, dict):
-        return {str(k): _plain(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_plain(v) for v in value]
-    return value
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def canonical_dumps(doc: dict) -> str:
-    return json.dumps(_plain(doc), sort_keys=True, indent=2) + "\n"
+    return json.dumps(doc, sort_keys=True, indent=2, default=_numpy_leaf) + "\n"
 
 
 def _meta(model) -> dict:
@@ -77,8 +74,7 @@ def model_from_doc(doc: dict):
 
 
 def save_model(model, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(canonical_dumps(model_to_doc(model)))
+    write_text(path, canonical_dumps(model_to_doc(model)))
 
 
 def load_model(path):

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
+from .posedata import samples_of
 
 SQRT2 = math.sqrt(2.0)
 
@@ -49,17 +50,13 @@ class Histogram1D:
     total: int
 
 
-def _samples_of(data) -> np.ndarray:
-    return np.asarray(getattr(data, "samples", data), dtype=float)
-
-
 def fit_pca(data, dims=None) -> PcaModel:
     """Fit mean and covariance eigenstructure over the selected dimensions.
 
     Covariance uses the unbiased N-1 divisor. Eigenvalues in [-1e-10, 0)
     are clamped to zero so that rank-deficient data yields a valid model.
     """
-    x = _samples_of(data)
+    x = samples_of(data)
     if x.shape[0] < 2:
         raise ValueError("PCA needs at least 2 samples")
     if dims is not None:

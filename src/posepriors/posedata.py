@@ -1,19 +1,20 @@
-"""Pose data model and ingestion.
+"""Pose data model, and the one home of file reading and writing.
 
 Pose vectors are flat float64 arrays of axis-angle components in radians,
-three per joint. This module is the one home of the library's file
-reading: `read_json` for every JSON document (specs, models,
-observations), and one reader and one writer shared by the pose and
-sequence CSV layouts. Every reader turns a missing file, invalid JSON, a
-bad marker or header, or a bad row into a `DataError` that names the file
-(and, for a CSV row, its line and column). CSV rows are parsed by numpy's
-C reader; a body that reader does not take exactly goes through the
-per-line parser, so what is accepted and every message are those of
-`float()` on each cell. The module also holds a seeded synthetic dataset
-generator that stands in for motion-capture corpora, Rodrigues conversion
-between flat axis-angle pose vectors and (J, 3, 3) rotation stacks (input
-checks here, the batched kernels in `rotations`), and the extraction of
-frame-to-frame motion deltas.
+three per joint. Reading: `read_json` for every JSON document (specs,
+models, observations), and one reader shared by the pose and sequence CSV
+layouts. Every reader turns a missing file, invalid JSON, a bad marker or
+header, or a bad row into a `DataError` that names the file (and, for a
+CSV row, its line and column). CSV rows are parsed by numpy's C reader; a
+body that reader does not take exactly goes through the per-line parser,
+so what is accepted and every message are those of `float()` on each
+cell. Writing: `write_text` is the only function that opens a file for
+writing, and `csv_text` the one CSV line writer, each cell the shortest
+`repr` of a plain Python number. The module also holds a seeded synthetic
+dataset generator that stands in for motion-capture corpora, Rodrigues
+conversion between flat axis-angle pose vectors and (J, 3, 3) rotation
+stacks (input checks here, the batched kernels in `rotations`), and the
+extraction of frame-to-frame motion deltas.
 """
 
 from __future__ import annotations
@@ -87,6 +88,14 @@ class PoseDataset:
         return names
 
 
+def samples_of(data) -> np.ndarray:
+    """The 2-D float sample array of a PoseDataset or of an array-like."""
+    x = np.asarray(getattr(data, "samples", data), dtype=float)
+    if x.ndim != 2:
+        raise ValueError("expected a 2-D sample array or a PoseDataset")
+    return x
+
+
 @dataclass
 class MotionSequence:
     """Timestamped poses; timestamps strictly increase."""
@@ -138,7 +147,7 @@ class TemporalDelta:
 
 
 # ---------------------------------------------------------------------------
-# File I/O: one reader per format, one writer for both CSV layouts
+# File I/O: one reader per format, one text writer for every file
 
 
 def _read_text(path) -> str:
@@ -146,6 +155,12 @@ def _read_text(path) -> str:
         raise DataError(f"no such file: {path}")
     with open(path, "r", encoding="utf-8") as fh:
         return fh.read()
+
+
+def write_text(path, text: str) -> None:
+    """Write `text` to `path` as UTF-8, replacing any file there."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
 
 
 def read_json(path):
@@ -205,11 +220,19 @@ def _read_table(path, first_column: str | None = None) -> tuple[list[str], np.nd
     return header, np.asarray(rows, dtype=float)
 
 
+def csv_text(header, rows) -> str:
+    """The header line and one line per row of plain Python numbers, each
+    cell its repr (shortest round-trip for a float, digits for an int)."""
+    lines = [",".join(header)]
+    lines.extend(",".join(map(repr, row)) for row in rows)
+    lines.append("")  # the final newline, without copying the text
+    return "\n".join(lines)
+
+
 def _table_text(header, rows: np.ndarray) -> str:
-    """The marker, the header and one shortest-repr line per row."""
-    lines = [CSV_MARKER, ",".join(header)]
-    lines.extend(",".join(map(repr, row.tolist())) for row in rows)
-    return "\n".join(lines) + "\n"
+    """The marker line over `csv_text`. Rows become plain floats one at a time,
+    so a large table never exists as one list of Python floats."""
+    return f"{CSV_MARKER}\n" + csv_text(header, (row.tolist() for row in rows))
 
 
 def load_pose_csv(path) -> PoseDataset:
@@ -223,8 +246,7 @@ def pose_csv_text(dataset: PoseDataset) -> str:
 
 
 def save_pose_csv(dataset: PoseDataset, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(pose_csv_text(dataset))
+    write_text(path, pose_csv_text(dataset))
 
 
 def load_sequence_csv(path) -> MotionSequence:
@@ -238,15 +260,33 @@ def load_sequence_csv(path) -> MotionSequence:
 
 def save_sequence_csv(seq: MotionSequence, path, column_names=None) -> None:
     names = column_names or default_column_names(seq.dim)
-    text = _table_text(["time_s", *names], np.column_stack([seq.timestamps, seq.poses]))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    write_text(path, _table_text(["time_s", *names], np.column_stack([seq.timestamps, seq.poses])))
 
 
 # ---------------------------------------------------------------------------
 # Synthetic data
 
-_SYNTH_KINDS = ("normal", "gamma", "mixture", "uniform")
+# kind -> (required keys, [(valid(spec), message)] checked in order,
+# draw(rng, spec, n)). A kind's draws are taken in the order written here.
+_SYNTH_KINDS = {
+    "normal": (("mu", "sigma"),
+               [(lambda s: s["sigma"] > 0, "sigma must be positive")],
+               lambda rng, s, n: rng.normal(s["mu"], s["sigma"], n)),
+    "gamma": (("alpha", "beta"),
+              [(lambda s: s["alpha"] > 0 and s["beta"] > 0, "alpha and beta must be positive"),
+               (lambda s: s.get("sign", 1) in (-1, 1), "sign must be -1 or +1")],
+              lambda rng, s, n: s.get("shift", 0.0)
+              + s.get("sign", 1) * rng.gamma(s["alpha"], 1.0 / s["beta"], n)),
+    "mixture": (("mu1", "sigma1", "mu2", "sigma2", "w1"),
+                [(lambda s: s["sigma1"] > 0 and s["sigma2"] > 0, "sigmas must be positive"),
+                 (lambda s: 0.0 < s["w1"] < 1.0, "w1 must be in (0, 1)")],
+                lambda rng, s, n: np.where(rng.random(n) < s["w1"],
+                                           rng.normal(s["mu1"], s["sigma1"], n),
+                                           rng.normal(s["mu2"], s["sigma2"], n))),
+    "uniform": (("lo", "hi"),
+                [(lambda s: s["lo"] < s["hi"], "requires lo < hi")],
+                lambda rng, s, n: rng.uniform(s["lo"], s["hi"], n)),
+}
 
 
 def _whole_number(value, key: str, minimum: int) -> int:
@@ -281,35 +321,17 @@ class SynthSpec:
         if not isinstance(self.dims, (list, tuple)) or not all(
                 isinstance(spec, dict) for spec in self.dims):
             raise DataError("dims must be a list of generator objects")
-        required = {
-            "normal": ("mu", "sigma"),
-            "gamma": ("alpha", "beta"),
-            "mixture": ("mu1", "sigma1", "mu2", "sigma2", "w1"),
-            "uniform": ("lo", "hi"),
-        }
         for k, spec in enumerate(self.dims):
             kind = spec.get("kind")
-            if kind not in _SYNTH_KINDS:
+            if not isinstance(kind, str) or kind not in _SYNTH_KINDS:
                 raise DataError(f"dim {k}: unknown generator kind {kind!r}")
-            missing = [key for key in required[kind] if key not in spec]
+            required, checks, _ = _SYNTH_KINDS[kind]
+            missing = [key for key in required if key not in spec]
             if missing:
                 raise DataError(f"dim {k}: {kind} generator missing {missing}")
-            if kind == "normal":
-                if not spec["sigma"] > 0:
-                    raise DataError(f"dim {k}: sigma must be positive")
-            elif kind == "gamma":
-                if not spec["alpha"] > 0 or not spec["beta"] > 0:
-                    raise DataError(f"dim {k}: alpha and beta must be positive")
-                if spec.get("sign", 1) not in (-1, 1):
-                    raise DataError(f"dim {k}: sign must be -1 or +1")
-            elif kind == "mixture":
-                if not spec["sigma1"] > 0 or not spec["sigma2"] > 0:
-                    raise DataError(f"dim {k}: sigmas must be positive")
-                if not 0.0 < spec["w1"] < 1.0:
-                    raise DataError(f"dim {k}: w1 must be in (0, 1)")
-            elif kind == "uniform":
-                if not spec["lo"] < spec["hi"]:
-                    raise DataError(f"dim {k}: requires lo < hi")
+            for valid, message in checks:
+                if not valid(spec):
+                    raise DataError(f"dim {k}: {message}")
 
     @classmethod
     def from_json(cls, path) -> "SynthSpec":
@@ -329,23 +351,7 @@ def synth_generate(spec: SynthSpec, seed: int | None = None) -> PoseDataset:
     if seed is None:
         seed = spec.seed
     rng = np.random.default_rng(seed)
-    n = spec.count
-    cols = []
-    for dim_spec in spec.dims:
-        kind = dim_spec["kind"]
-        if kind == "normal":
-            cols.append(rng.normal(dim_spec["mu"], dim_spec["sigma"], n))
-        elif kind == "gamma":
-            draw = rng.gamma(dim_spec["alpha"], 1.0 / dim_spec["beta"], n)
-            cols.append(dim_spec.get("shift", 0.0) + dim_spec.get("sign", 1) * draw)
-        elif kind == "mixture":
-            pick = rng.random(n) < dim_spec["w1"]
-            a = rng.normal(dim_spec["mu1"], dim_spec["sigma1"], n)
-            b = rng.normal(dim_spec["mu2"], dim_spec["sigma2"], n)
-            cols.append(np.where(pick, a, b))
-        elif kind == "uniform":
-            cols.append(rng.uniform(dim_spec["lo"], dim_spec["hi"], n))
-    samples = np.column_stack(cols)
+    samples = np.column_stack([_SYNTH_KINDS[s["kind"]][2](rng, s, spec.count) for s in spec.dims])
     dim = samples.shape[1]
     return PoseDataset(
         dim=dim,

@@ -20,16 +20,9 @@ import numpy as np
 
 from . import linalg
 from .errors import NumericalError
-from .posedata import TemporalDelta
+from .posedata import TemporalDelta, samples_of
 
 LOG_2PI = math.log(2.0 * math.pi)
-
-
-def _samples_of(data) -> np.ndarray:
-    x = np.asarray(getattr(data, "samples", data), dtype=float)
-    if x.ndim != 2:
-        raise ValueError("expected a 2-D sample array or a PoseDataset")
-    return x
 
 
 def _check_vec(x, dim: int) -> np.ndarray:
@@ -143,7 +136,7 @@ def mvn_from_moments(mean, cov, base_jitter: float = 1e-10, fit_meta=None) -> Mv
 
 def fit_mvn(data) -> MvnModel:
     """Sample mean and unbiased covariance, factored with jitter escalation."""
-    x = _samples_of(data)
+    x = samples_of(data)
     if x.shape[0] < 2:
         raise ValueError("fit_mvn needs at least 2 samples")
     mean = x.mean(axis=0)
@@ -248,7 +241,7 @@ def fit_gamma(data, margin: float = 1e-6) -> GammaModel:
     The shift places the support boundary just outside the data range so
     every training point stays strictly interior.
     """
-    x = _samples_of(data)
+    x = samples_of(data)
     n = x.shape[0]
     if n < 10:
         raise ValueError("fit_gamma needs at least 10 samples")
@@ -389,7 +382,7 @@ def fit_gmm_em(data, k: int, seed: int = 0, reg: float = 1e-6, tol: float = 1e-8
     three times. Returns the model with its log-likelihood trace in
     fit_meta["loglik_trace"].
     """
-    x = _samples_of(data)
+    x = samples_of(data)
     n, d = x.shape
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -566,7 +559,7 @@ class BoxLimitModel(PosePrior):
 
 def box_from_data(data, stiffness: float = 1.0, margin: float = 0.0) -> BoxLimitModel:
     """Box limits from the per-dimension data range, optionally widened."""
-    x = _samples_of(data)
+    x = samples_of(data)
     lo = x.min(axis=0) - margin
     hi = x.max(axis=0) + margin
     flat = lo >= hi

@@ -28,7 +28,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import rotations
-from .posedata import matrices_to_axis_angle
+from .posedata import csv_text, matrices_to_axis_angle, samples_of, write_text
 from .priors import PosePrior
 from .rotations import project_to_rotations
 
@@ -487,8 +487,8 @@ def train(model: VaeModel, data, cfg: TrainConfig):
     (a VaeLossBreakdown per epoch). Deterministic for fixed (model, data,
     cfg): identical seeds give bitwise identical parameters.
     """
-    samples = np.asarray(getattr(data, "samples", data), dtype=float)
-    if samples.ndim != 2 or samples.shape[1] != model.pose_dim:
+    samples = samples_of(data)
+    if samples.shape[1] != model.pose_dim:
         raise ValueError(
             f"dataset dim {samples.shape} does not match model pose dim {model.pose_dim}"
         )
@@ -530,14 +530,9 @@ def train(model: VaeModel, data, cfg: TrainConfig):
 
 def write_loss_trace(trace, path) -> None:
     """Loss trace CSV: epoch, l_kl, l_rec, l_orth, l_det1, l_reg, l_total."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("epoch,l_kl,l_rec,l_orth,l_det1,l_reg,l_total\n")
-        for e, bd in enumerate(trace, start=1):
-            cells = [str(e)] + [
-                repr(float(v))
-                for v in (bd.l_kl, bd.l_rec, bd.l_orth, bd.l_det1, bd.l_reg, bd.l_total)
-            ]
-            fh.write(",".join(cells) + "\n")
+    columns = ("l_kl", "l_rec", "l_orth", "l_det1", "l_reg", "l_total")
+    rows = ([e, *(float(getattr(bd, c)) for c in columns)] for e, bd in enumerate(trace, start=1))
+    write_text(path, csv_text(["epoch", *columns], rows))
 
 
 # ---------------------------------------------------------------------------

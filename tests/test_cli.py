@@ -1,9 +1,10 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from posepriors import modelio, posedata
+from posepriors import modelio, posedata, vae
 from posepriors.cli import main
 from posepriors.posedata import MotionSequence, save_sequence_csv
 
@@ -19,6 +20,20 @@ SPEC_DOC = {
         {"kind": "normal", "mu": 0.0, "sigma": 0.25},
     ],
     "count": 300,
+    "seed": 5,
+}
+
+
+DATA_DIR = Path(__file__).resolve().parent / "data"
+
+FOUR_KINDS_SPEC = {
+    "dims": [
+        {"kind": "normal", "mu": 0.1, "sigma": 0.4},
+        {"kind": "gamma", "alpha": 2.0, "beta": 3.0, "sign": -1, "shift": 0.2},
+        {"kind": "mixture", "mu1": -0.5, "sigma1": 0.2, "mu2": 0.6, "sigma2": 0.3, "w1": 0.3},
+        {"kind": "uniform", "lo": -1.0, "hi": 1.2},
+    ],
+    "count": 8,
     "seed": 5,
 }
 
@@ -56,6 +71,17 @@ class TestGen:
 
     def test_missing_spec_is_data_error(self, workdir):
         assert main(["gen", "--spec", str(workdir / "no.json")]) == 2
+
+    def test_four_kinds_match_committed_bytes(self, tmp_path, capsys):
+        """One dimension of each generator kind, 8 rows: pins each kind's draws and order."""
+        spec = tmp_path / "four.json"
+        spec.write_text(json.dumps(FOUR_KINDS_SPEC))
+        out = tmp_path / "four.csv"
+        want = (DATA_DIR / "gen_four_kinds.csv").read_bytes()
+        assert main(["gen", "--spec", str(spec), "--out", str(out)]) == 0
+        assert out.read_bytes() == want
+        assert main(["gen", "--spec", str(spec)]) == 0
+        assert capsys.readouterr().out.encode("utf-8") == want
 
     @pytest.mark.parametrize("doc", [
         {"dims": [1], "count": 3},
@@ -115,6 +141,12 @@ class TestFitEval:
 
     def test_missing_data_is_data_error(self, workdir):
         assert main(["fit", "--model", "mvn", "--data", str(workdir / "no.csv")]) == 2
+
+    def test_unknown_family_lists_the_choices_in_order(self, workdir, capsys):
+        assert main(["fit", "--model", "nope", "--data", str(workdir / "d.csv")]) == 1
+        assert capsys.readouterr().err == (
+            "usage error: argument --model: invalid choice: 'nope' "
+            "(choose from 'mvn', 'gamma', 'gmm', 'temporal-gmm', 'box')\n")
 
     def test_unknown_flag_is_usage_error(self, workdir):
         assert main(["fit", "--model", "mvn", "--data", str(workdir / "d.csv"),
@@ -182,6 +214,21 @@ class TestAnalyze:
         assert lines[0] == "bin_lo,bin_hi,count"
         assert len(lines) == 11
 
+    def test_histogram_file_lines(self, tmp_path):
+        """A 1-D corpus 0.0, 0.1, ..., 0.7: scores are x - mean, 2 per bin."""
+        data = tmp_path / "one.csv"
+        data.write_text("# pose-csv v1\nc0\n" + "".join(f"{0.1 * k!r}\n" for k in range(8)))
+        hist = tmp_path / "hist.csv"
+        assert main(["analyze", "--data", str(data), "--bins", "4", "--hist-out", str(hist),
+                     "--out", str(tmp_path / "rep.json")]) == 0
+        assert hist.read_text().splitlines() == [
+            "bin_lo,bin_hi,count",
+            "-0.35000000000000003,-0.17500000000000002,2",
+            "-0.17500000000000002,0.0,2",
+            "0.0,0.175,2",
+            "0.175,0.35000000000000003,2",
+        ]
+
     def test_reruns_byte_identical(self, workdir):
         outs = []
         for name in ("r1.json", "r2.json"):
@@ -206,6 +253,21 @@ class TestTrainVae:
         assert len(lines) == 3
         assert main(["grad-check", "--model", str(model_path), "--count", "20",
                      "--seed", "9"]) == 0
+
+    def test_trace_file_lines(self, workdir):
+        """Epochs are ints and losses the shortest repr of the trained trace's floats."""
+        trace_path = workdir / "trace.csv"
+        assert main(["train-vae", "--data", str(workdir / "d.csv"), "--epochs", "3",
+                     "--batch", "50", "--seed", "4", "--latent", "2", "--hidden", "8",
+                     "--trace-out", str(trace_path)]) == 0
+        model = vae.build_vae(n_joints=2, latent_dim=2, hidden=[8], seed=4)
+        cfg = vae.TrainConfig(epochs=3, batch_size=50, learning_rate=1e-3, seed=4,
+                              optimizer="adam")
+        _, trace = vae.train(model, posedata.load_pose_csv(workdir / "d.csv"), cfg)
+        columns = ("l_kl", "l_rec", "l_orth", "l_det1", "l_reg", "l_total")
+        assert trace_path.read_text().splitlines() == ["epoch," + ",".join(columns)] + [
+            f"{e}," + ",".join(repr(float(getattr(bd, c))) for c in columns)
+            for e, bd in enumerate(trace, start=1)]
 
     def test_non_integer_hidden_is_usage_error(self, workdir, capsys):
         assert main(["train-vae", "--data", str(workdir / "d.csv"), "--epochs", "1",
@@ -345,3 +407,18 @@ class TestGradCheck:
                          "--seed", "5"]) == 0
             report = json.loads(capsys.readouterr().out)
             assert report["max_relative_error"] < 1e-4
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "--spec", "{dir}/spec.json"],
+    ["fit", "--model", "gmm", "--data", "{dir}/d.csv"],
+    ["analyze", "--data", "{dir}/d.csv"],
+    ["train-vae", "--data", "{dir}/d.csv", "--epochs", "1"],
+    ["grad-check", "--model", "{dir}/no-model.json"],
+], ids=lambda argv: argv[0])
+@pytest.mark.parametrize("seed", ["-1", "x"])
+def test_bad_seed_flag_is_usage_error(workdir, capsys, argv, seed):
+    """--seed is checked while parsing, before any file is read."""
+    assert main([a.format(dir=workdir) for a in argv] + ["--seed", seed]) == 1
+    assert capsys.readouterr().err == (
+        f"usage error: argument --seed: must be a non-negative integer, got {seed!r}\n")

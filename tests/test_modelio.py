@@ -169,6 +169,33 @@ class TestErrors:
             modelio.model_from_doc(doc)
 
 
+class TestCanonicalDumps:
+    DOC = {
+        "count": np.int64(7), "scale": np.float32(0.1), "zero_d": np.array(2.5),
+        "zero_d_int": np.array(3), "f32_array": np.array([0.1, 0.25], dtype=np.float32),
+        "nested": {"rows": np.arange(6.0).reshape(2, 3) / 3.0,
+                   "list": [np.float32(1.5), np.int32(-2), (np.float64(0.1), 4)]},
+        "flag": True, "none": None,
+    }
+
+    def test_numpy_leaves_bytes(self):
+        """numpy integers, float32 scalars and arrays, 0-d and nested arrays: pinned bytes."""
+        assert modelio.canonical_dumps(self.DOC) == (
+            '{\n  "count": 7,\n  "f32_array": [\n    0.10000000149011612,\n    0.25\n  ],\n'
+            '  "flag": true,\n  "nested": {\n    "list": [\n      1.5,\n      -2,\n      [\n'
+            '        0.1,\n        4\n      ]\n    ],\n    "rows": [\n      [\n        0.0,\n'
+            '        0.3333333333333333,\n        0.6666666666666666\n      ],\n      [\n'
+            '        1.0,\n        1.3333333333333333,\n        1.6666666666666667\n      ]\n'
+            '    ]\n  },\n  "none": null,\n  "scale": 0.10000000149011612,\n  "zero_d": 2.5,\n'
+            '  "zero_d_int": 3\n}\n')
+
+    @pytest.mark.parametrize("leaf", [np.bool_(True), {1, 2}, 1j, object()],
+                             ids=["np.bool_", "set", "complex", "object"])
+    def test_what_json_cannot_encode_is_type_error(self, leaf):
+        with pytest.raises(TypeError, match="is not JSON serializable"):
+            modelio.canonical_dumps({"a": [1.0, {"b": leaf}]})
+
+
 class TestRegistry:
     def test_every_family_ships_a_resave_fixture(self):
         stems = {path.stem for path in TestEarlierFiles.DATA.glob("*.json")}

@@ -34,6 +34,10 @@ class TestFitPca:
         with pytest.raises(ValueError):
             fit_pca(np.ones((5, 2)), dims=[])
 
+    def test_one_dimensional_input_names_the_sample_shape(self):
+        with pytest.raises(ValueError, match="expected a 2-D sample array or a PoseDataset"):
+            fit_pca(np.ones(5))
+
 
 class TestReorient:
     def test_mean_maps_to_zero(self):

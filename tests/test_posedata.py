@@ -16,10 +16,12 @@ from posepriors.posedata import (
     SynthSpec,
     axis_angle_to_matrices,
     compute_deltas,
+    csv_text,
     load_pose_csv,
     load_sequence_csv,
     matrices_to_axis_angle,
     pose_csv_text,
+    samples_of,
     save_pose_csv,
     save_sequence_csv,
     synth_generate,
@@ -156,6 +158,18 @@ class TestIoContract:
             b"5e-324,1e+22,-0.0\n"
             b"0.1,0.1,5e-324\n"
         )
+
+    def test_csv_text_cells_are_reprs_of_plain_numbers(self):
+        assert csv_text(["n", "x"], [[3, 0.1], [-2, 1e22], [0, -0.0]]) == (
+            "n,x\n3,0.1\n-2,1e+22\n0,-0.0\n")
+        assert csv_text(["a"], []) == "a\n"
+
+    def test_samples_of(self):
+        ds = PoseDataset(dim=2, column_names=["a", "b"], samples=[[1.0, 2.0]])
+        assert samples_of(ds) is ds.samples
+        assert samples_of([[1, 2]]).dtype == float
+        with pytest.raises(ValueError, match="expected a 2-D sample array"):
+            samples_of(np.ones(3))
 
     def test_header_faults_come_before_row_faults(self, tmp_path):
         path = tmp_path / "s.csv"
@@ -352,6 +366,25 @@ class TestSynthGenerate:
             SynthSpec(dims=[{"kind": "gamma", "alpha": -1.0, "beta": 1.0}], count=5)
         with pytest.raises(DataError):
             SynthSpec(dims=[{"kind": "what"}], count=5)
+
+    @pytest.mark.parametrize("dim, message", [
+        ({"kind": []}, "unknown generator kind []"),
+        ({"kind": {"a": 1}}, "unknown generator kind {'a': 1}"),
+        ({"kind": "gamma", "alpha": 1.0}, "gamma generator missing ['beta']"),
+        ({"kind": "gamma", "alpha": 0.0, "beta": 1.0, "sign": 2},
+         "alpha and beta must be positive"),
+        ({"kind": "gamma", "alpha": 1.0, "beta": 1.0, "sign": 2}, "sign must be -1 or +1"),
+        ({"kind": "mixture", "mu1": 0, "sigma1": -1, "mu2": 0, "sigma2": 1, "w1": "x"},
+         "sigmas must be positive"),
+        ({"kind": "mixture", "mu1": 0, "sigma1": 1, "mu2": 0, "sigma2": 1, "w1": 1.0},
+         "w1 must be in (0, 1)"),
+        ({"kind": "uniform", "lo": 1.0, "hi": 1.0}, "requires lo < hi"),
+    ])
+    def test_validation_messages(self, dim, message):
+        ok = {"kind": "normal", "mu": 0.0, "sigma": 1.0}
+        with pytest.raises(DataError) as info:
+            SynthSpec(dims=[ok, dim], count=5)
+        assert str(info.value) == f"dim 1: {message}"
 
 
 class TestRotations:

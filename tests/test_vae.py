@@ -381,6 +381,13 @@ class TestTrain:
             train(tiny_model(), data,
                   TrainConfig(epochs=1, batch_size=50, learning_rate=1e-3))
 
+    def test_sample_shape_messages(self):
+        cfg = TrainConfig(epochs=1, batch_size=1, learning_rate=1e-3)
+        with pytest.raises(ValueError, match="does not match model pose dim 6"):
+            train(tiny_model(), np.zeros((4, 9)), cfg)
+        with pytest.raises(ValueError, match="expected a 2-D sample array or a PoseDataset"):
+            train(tiny_model(), np.zeros(6), cfg)
+
 
 class TestPriorEnergy:
     def test_zero_encoder_gives_zero_energy(self):
