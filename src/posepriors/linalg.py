@@ -1,7 +1,8 @@
 """Dense symmetric linear algebra kernel.
 
 LAPACK (numpy.linalg) Cholesky with an escalating diagonal-jitter retry
-policy and solves through the cached inverse factor; symmetric eigen by
+policy. The factor caches L^-1: the priors whiten through it, and
+chol_solve applies it twice for one right-hand side. Symmetric eigen by
 LAPACK, with cyclic Jacobi kept as the tests' reference. Pure functions
 over float64 ndarrays; inputs are symmetrized defensively so callers may
 pass the raw output of a covariance accumulation.
@@ -157,12 +158,4 @@ def chol_solve(f: CholFactor, b) -> np.ndarray:
     b = np.asarray(b, dtype=float)
     if b.shape != (f.n,):
         raise ValueError(f"rhs has shape {b.shape}, expected ({f.n},)")
-    return chol_solve_many(f, b[:, None])[:, 0]
-
-
-def chol_solve_many(f: CholFactor, b: np.ndarray) -> np.ndarray:
-    """Column-wise chol_solve for an (n, m) right-hand-side block."""
-    b = np.asarray(b, dtype=float)
-    if b.ndim != 2 or b.shape[0] != f.n:
-        raise ValueError(f"rhs block has shape {b.shape}, expected ({f.n}, m)")
     return f.inverse.T @ (f.inverse @ b)

@@ -102,8 +102,8 @@ class MvnModel(PosePrior):
         return _gaussian_log_joint(xs, [self.mean], [self.chol], [0.0])[:, 0]
 
     def grad_log_prob(self, x) -> np.ndarray:
-        x = _check_vec(x, self.dim)
-        return -linalg.chol_solve(self.chol, x - self.mean)
+        w = self.chol.inverse @ (_check_vec(x, self.dim) - self.mean)
+        return -(w @ self.chol.inverse)
 
     def support_points(self, count: int, rng: np.random.Generator, h: float) -> np.ndarray:
         eps = rng.standard_normal((count, self.dim))
@@ -311,26 +311,19 @@ class GmmModel(PosePrior):
         comp = _gaussian_log_joint(xs, self.means, self._chols, self._log_w)
         return _logsumexp(comp, axis=1)
 
-    def _solve_components(self, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-        """Responsibilities at x and the k solved vectors Sigma_i^-1 (x - mu_i)."""
-        solved = []
-        log_joint = np.empty(self.n_components)
-        for i, chol in enumerate(self._chols):
-            z = x - self.means[i]
-            solved.append(linalg.chol_solve(chol, z))
-            q = float(z @ solved[i])
-            log_joint[i] = self._log_w[i] - 0.5 * (self.dim * LOG_2PI + chol.log_det + q)
-        return np.exp(log_joint - _logsumexp(log_joint, axis=0)), solved
+    def _whiten_components(self, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+        """Responsibilities at x and the k whitened residuals L_i^-1 (x - mu_i)."""
+        whitened = [chol.inverse @ (x - mu) for mu, chol in zip(self.means, self._chols)]
+        log_joint = np.array([log_w - 0.5 * (self.dim * LOG_2PI + chol.log_det + w @ w)
+                              for log_w, chol, w in zip(self._log_w, self._chols, whitened)])
+        return np.exp(log_joint - _logsumexp(log_joint, axis=0)), whitened
 
     def responsibilities(self, x) -> np.ndarray:
-        return self._solve_components(_check_vec(x, self.dim))[0]
+        return self._whiten_components(_check_vec(x, self.dim))[0]
 
     def grad_log_prob(self, x) -> np.ndarray:
-        r, solved = self._solve_components(_check_vec(x, self.dim))
-        grad = np.zeros(self.dim)
-        for i, y in enumerate(solved):
-            grad -= r[i] * y
-        return grad
+        r, whitened = self._whiten_components(_check_vec(x, self.dim))
+        return -sum(r_i * (w @ chol.inverse) for r_i, w, chol in zip(r, whitened, self._chols))
 
     def support_points(self, count: int, rng: np.random.Generator, h: float) -> np.ndarray:
         comps = rng.choice(self.n_components, size=count, p=self.weights)
@@ -525,9 +518,7 @@ class BoxLimitModel(PosePrior):
         return np.maximum(0.0, x - self.hi), np.maximum(0.0, self.lo - x)
 
     def log_prob_many(self, xs) -> np.ndarray:
-        xs = np.asarray(xs, dtype=float)
-        over = np.maximum(0.0, xs - self.hi)
-        under = np.maximum(0.0, self.lo - xs)
+        over, under = self._violations(np.asarray(xs, dtype=float))
         return -self.stiffness * np.sum(over**2 + under**2, axis=1)
 
     def grad_log_prob(self, x) -> np.ndarray:

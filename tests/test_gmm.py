@@ -79,16 +79,19 @@ class TestFitGmmEm:
 
 class TestGmmLogProb:
     def test_k1_equals_mvn(self):
+        # One component is the normal bit for bit: log w = 0 and r = 1 exactly.
         rng = np.random.default_rng(4)
-        b = rng.standard_normal((3, 3))
-        cov = b @ b.T + np.eye(3)
-        mean = rng.standard_normal(3)
-        mvn = mvn_from_moments(mean, cov)
-        gmm = GmmModel(weights=[1.0], means=[mean], covs=[cov])
-        for _ in range(20):
-            x = mean + rng.standard_normal(3)
-            assert gmm.log_prob(x) == pytest.approx(mvn.log_prob(x), abs=1e-12)
-            np.testing.assert_allclose(gmm.grad_log_prob(x), mvn.grad_log_prob(x), atol=1e-12)
+        for d in (3, 66):
+            b = rng.standard_normal((d, d))
+            cov = b @ b.T + np.eye(d)
+            mean = rng.standard_normal(d)
+            mvn = mvn_from_moments(mean, cov)
+            gmm = GmmModel(weights=[1.0], means=[mean], covs=[cov])
+            xs = mean + rng.standard_normal((20, d))
+            assert np.array_equal(gmm.log_prob_many(xs), mvn.log_prob_many(xs))
+            for x in xs:
+                assert gmm.log_prob(x) == mvn.log_prob(x)
+                assert np.array_equal(gmm.grad_log_prob(x), mvn.grad_log_prob(x))
 
     def test_symmetric_responsibilities(self):
         gmm = GmmModel(
@@ -147,6 +150,47 @@ class TestGmmGrad:
             got = gmm.grad_log_prob(p)
             fd = finite_diff_gradient(gmm.log_prob, p)
             assert np.abs(got - fd).max() / max(1.0, np.abs(fd).max()) < 1e-5
+
+
+def _spd(rng, d):
+    b = rng.standard_normal((d, d))
+    return b @ b.T / d + 0.1 * np.eye(d)
+
+
+def _assert_normwise_close(got, ref, rtol=1e-10):
+    assert np.abs(got - ref).max() <= rtol * np.abs(ref).max()
+
+
+class TestGaussianGradAgainstSolve:
+    """Whitened gradients at d = 66 against dense np.linalg.solve references."""
+
+    def test_gmm_k3_matches_solve_softmax(self):
+        rng = np.random.default_rng(66)
+        d = 66
+        means = rng.normal(0.0, 0.1, (3, d))
+        covs = np.stack([_spd(rng, d) for _ in range(3)])
+        weights = np.array([0.2, 0.3, 0.5])
+        gmm = GmmModel(weights=weights, means=means, covs=covs)
+        for _ in range(10):
+            x = means[rng.integers(3)] + 0.3 * rng.standard_normal(d)
+            solved = [np.linalg.solve(c, x - m) for m, c in zip(means, covs)]
+            log_joint = np.array([
+                math.log(w) - 0.5 * (d * priors.LOG_2PI + np.linalg.slogdet(c)[1] + (x - m) @ y)
+                for w, m, c, y in zip(weights, means, covs, solved)])
+            r = np.exp(log_joint - log_joint.max())
+            r /= r.sum()
+            np.testing.assert_allclose(gmm.responsibilities(x), r, rtol=1e-10, atol=0.0)
+            _assert_normwise_close(gmm.grad_log_prob(x), -sum(ri * y for ri, y in zip(r, solved)))
+
+    def test_mvn_matches_solve(self):
+        rng = np.random.default_rng(67)
+        d = 66
+        mean = rng.normal(0.0, 0.1, d)
+        cov = _spd(rng, d)
+        mvn = mvn_from_moments(mean, cov)
+        for _ in range(10):
+            x = mean + 0.3 * rng.standard_normal(d)
+            _assert_normwise_close(mvn.grad_log_prob(x), -np.linalg.solve(cov, x - mean))
 
 
 def constant_velocity_sequence(n=90, noise=2e-3, seed=12):

@@ -53,8 +53,9 @@ def _commands(root: Path, out: Path) -> list[list[str]]:
     for family in ("gmm", "mvn", "vae"):
         cmds.append(["eval", "--model", str(out / f"{family}.json"), "--data", poses,
                      "--out", str(out / f"eval-{family}.json")])
-    cmds.append(["grad-check", "--model", str(out / "vae.json"), "--count", "20", "--seed", "3",
-                 "--out", str(out / "gradcheck-vae.json")])
+    for family in ("vae", "gmm", "mvn"):
+        cmds.append(["grad-check", "--model", str(out / f"{family}.json"), "--count", "20",
+                     "--seed", "3", "--out", str(out / f"gradcheck-{family}.json")])
     for family in ("mvn", "gmm"):
         cmds.append(["recover", "--obs", str(root / "obs.json"), "--model",
                      str(out / f"{family}.json"), "--out", str(out / f"recover-{family}.json")])
@@ -86,6 +87,6 @@ def test_cli_outputs_identical_for_one_and_two_blas_threads(tmp_path):
     one, two = _run(tmp_path, 1), _run(tmp_path, 2)
     names = sorted(p.name for p in one.iterdir())
     assert names == sorted(p.name for p in two.iterdir())
-    assert len(names) == 16
+    assert len(names) == 18
     differ = [n for n in names if (one / n).read_bytes() != (two / n).read_bytes()]
     assert differ == []
