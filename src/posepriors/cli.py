@@ -120,8 +120,6 @@ def _cmd_eval(args) -> int:
         rows = priors.stack_deltas(posedata.compute_deltas(seq))
     else:
         rows = posedata.load_pose_csv(args.data).samples
-    if rows.shape[1] != model.dim:
-        raise DataError(f"data dim {rows.shape[1]} does not match model dim {model.dim}")
     per_sample = [float(v) for v in model.log_prob_many(rows)]
     report = {
         "per_sample_log_prob": per_sample,

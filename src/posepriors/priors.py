@@ -1,10 +1,10 @@
 """Closed-form pose prior families behind one contract.
 
-Every prior subclasses PosePrior and exposes log_prob_many(xs) -> (n,)
-values for an (n, d) batch, log_prob(x) -> float and grad_log_prob(x) ->
-vector, everything in log space (a raw 66-dimensional Gaussian PDF
-underflows float64). A family implements only log_prob_many and
-grad_log_prob; PosePrior.log_prob is log_prob_many on one row, so the
+Every query enters through PosePrior: log_prob_many(xs) -> (n,) values
+for an (n, d) batch, log_prob(x) -> float and grad_log_prob(x) -> vector,
+everything in log space (a raw 66-dimensional Gaussian PDF underflows
+float64). PosePrior checks the input once; a family holds only the math,
+_log_prob_rows and _grad. log_prob is log_prob_many on one row, so the
 single-point and batched values agree exactly. Families: soft box limits,
 multivariate normal, per-dimension gamma with sign/shift, Gaussian
 mixtures fit by EM, and a temporal mixture over (dt, dtheta) motion
@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .errors import NumericalError
+from .errors import DataError, NumericalError
 from .posedata import TemporalDelta, samples_of
 
 LOG_2PI = math.log(2.0 * math.pi)
@@ -28,9 +28,9 @@ LOG_2PI = math.log(2.0 * math.pi)
 def _check_vec(x, dim: int) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape != (dim,):
-        raise ValueError(f"vector has shape {x.shape}, expected ({dim},)")
+        raise DataError(f"vector has shape {x.shape}, expected ({dim},)")
     if not np.all(np.isfinite(x)):
-        raise ValueError("vector has non-finite entries")
+        raise DataError("vector has non-finite entries")
     return x
 
 
@@ -63,15 +63,34 @@ def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
 
 
 class PosePrior:
-    """Base of every prior: log_prob is log_prob_many on a single row.
+    """Base of every prior: its public methods are the only query entry.
 
-    Subclasses provide dim, log_prob_many(xs) over an (n, dim) batch,
-    grad_log_prob(x) at one point and support_points for grad checks; a
-    family saved as JSON adds MODEL_TYPE, to_params and from_params.
+    They raise DataError on a batch that is not (n, dim) or a point that is
+    not a finite (dim,) vector. Subclasses provide dim, _log_prob_rows(xs)
+    on a checked batch, _grad(x) at a checked point and support_points for
+    grad checks; a family saved as JSON adds MODEL_TYPE, to_params and
+    from_params.
     """
+
+    def log_prob_many(self, xs) -> np.ndarray:
+        xs = np.asarray(xs, dtype=float)
+        if xs.ndim != 2 or xs.shape[1] != self.dim:
+            raise DataError(f"batch has shape {xs.shape}, expected (n, {self.dim})")
+        return self._log_prob_rows(xs)
 
     def log_prob(self, x) -> float:
         return float(self.log_prob_many(_check_vec(x, self.dim)[None])[0])
+
+    def grad_log_prob(self, x) -> np.ndarray:
+        return self._grad(_check_vec(x, self.dim))
+
+    def mode(self) -> np.ndarray:
+        """Where pose recovery starts its unobserved dims; zeros by default."""
+        return np.zeros(self.dim)
+
+    def mean_vector(self) -> np.ndarray:
+        """Recovery's restart point when the mode scores zero probability."""
+        return self.mode()
 
     def support_points(self, count: int, rng: np.random.Generator, h: float) -> np.ndarray:
         """(count, dim) seeded points strictly inside the support, clear of kinks."""
@@ -97,12 +116,11 @@ class MvnModel(PosePrior):
     def dim(self) -> int:
         return self.mean.shape[0]
 
-    def log_prob_many(self, xs) -> np.ndarray:
-        xs = np.asarray(xs, dtype=float)
+    def _log_prob_rows(self, xs: np.ndarray) -> np.ndarray:
         return _gaussian_log_joint(xs, [self.mean], [self.chol], [0.0])[:, 0]
 
-    def grad_log_prob(self, x) -> np.ndarray:
-        w = self.chol.inverse @ (_check_vec(x, self.dim) - self.mean)
+    def _grad(self, x: np.ndarray) -> np.ndarray:
+        w = self.chol.inverse @ (x - self.mean)
         return -(w @ self.chol.inverse)
 
     def support_points(self, count: int, rng: np.random.Generator, h: float) -> np.ndarray:
@@ -110,9 +128,6 @@ class MvnModel(PosePrior):
         return self.mean + eps @ self.chol.lower.T
 
     def mode(self) -> np.ndarray:
-        return self.mean.copy()
-
-    def mean_vector(self) -> np.ndarray:
         return self.mean.copy()
 
     def to_params(self) -> dict:
@@ -143,11 +158,7 @@ def fit_mvn(data) -> MvnModel:
     centered = x - mean
     cov = centered.T @ centered / (x.shape[0] - 1)
     model = mvn_from_moments(mean, cov)
-    model.fit_meta.update(
-        seed=None,
-        iterations=None,
-        final_loglik=float(np.sum(model.log_prob_many(x))),
-    )
+    model.fit_meta["final_loglik"] = float(np.sum(model.log_prob_many(x)))
     return model
 
 
@@ -191,8 +202,7 @@ class GammaModel(PosePrior):
     def dim(self) -> int:
         return self.alpha.shape[0]
 
-    def log_prob_many(self, xs) -> np.ndarray:
-        xs = np.asarray(xs, dtype=float)
+    def _log_prob_rows(self, xs: np.ndarray) -> np.ndarray:
         y = self.sign * (xs - self.shift)
         ok = np.all(y > 0.0, axis=1)
         out = np.full(xs.shape[0], -np.inf)
@@ -203,8 +213,7 @@ class GammaModel(PosePrior):
             )
         return out
 
-    def grad_log_prob(self, x) -> np.ndarray:
-        x = _check_vec(x, self.dim)
+    def _grad(self, x: np.ndarray) -> np.ndarray:
         y = self.sign * (x - self.shift)
         if np.any(y <= 0.0):
             raise ValueError("point is on or outside the gamma support boundary")
@@ -216,9 +225,9 @@ class GammaModel(PosePrior):
         return self.shift + self.sign * draws
 
     def mode(self) -> np.ndarray:
-        # True mode sits on the support boundary when alpha < 1; fall back
+        # True mode sits on the support boundary when alpha <= 1; fall back
         # to the mean there so the result is strictly inside the support.
-        inner = np.where(self.alpha >= 1.0, self.alpha - 1.0, self.alpha)
+        inner = np.where(self.alpha > 1.0, self.alpha - 1.0, self.alpha)
         return self.shift + self.sign * inner / self.beta
 
     def mean_vector(self) -> np.ndarray:
@@ -259,13 +268,7 @@ def fit_gamma(data, margin: float = 1e-6) -> GammaModel:
     vy = y.var(axis=0, ddof=1)
     alpha = my**2 / vy
     beta = my / vy
-    return GammaModel(
-        alpha=alpha,
-        beta=beta,
-        sign=sign,
-        shift=shift,
-        fit_meta={"seed": None, "jitter": None, "iterations": None, "final_loglik": None},
-    )
+    return GammaModel(alpha=alpha, beta=beta, sign=sign, shift=shift)
 
 
 # ---------------------------------------------------------------------------
@@ -306,8 +309,7 @@ class GmmModel(PosePrior):
     def dim(self) -> int:
         return self.means.shape[1]
 
-    def log_prob_many(self, xs) -> np.ndarray:
-        xs = np.asarray(xs, dtype=float)
+    def _log_prob_rows(self, xs: np.ndarray) -> np.ndarray:
         comp = _gaussian_log_joint(xs, self.means, self._chols, self._log_w)
         return _logsumexp(comp, axis=1)
 
@@ -321,8 +323,8 @@ class GmmModel(PosePrior):
     def responsibilities(self, x) -> np.ndarray:
         return self._whiten_components(_check_vec(x, self.dim))[0]
 
-    def grad_log_prob(self, x) -> np.ndarray:
-        r, whitened = self._whiten_components(_check_vec(x, self.dim))
+    def _grad(self, x: np.ndarray) -> np.ndarray:
+        r, whitened = self._whiten_components(x)
         return -sum(r_i * (w @ chol.inverse) for r_i, w, chol in zip(r, whitened, self._chols))
 
     def support_points(self, count: int, rng: np.random.Generator, h: float) -> np.ndarray:
@@ -517,12 +519,11 @@ class BoxLimitModel(PosePrior):
     def _violations(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return np.maximum(0.0, x - self.hi), np.maximum(0.0, self.lo - x)
 
-    def log_prob_many(self, xs) -> np.ndarray:
-        over, under = self._violations(np.asarray(xs, dtype=float))
+    def _log_prob_rows(self, xs: np.ndarray) -> np.ndarray:
+        over, under = self._violations(xs)
         return -self.stiffness * np.sum(over**2 + under**2, axis=1)
 
-    def grad_log_prob(self, x) -> np.ndarray:
-        x = _check_vec(x, self.dim)
+    def _grad(self, x: np.ndarray) -> np.ndarray:
         over, under = self._violations(x)
         return -2.0 * self.stiffness * (over - under)
 
@@ -535,9 +536,6 @@ class BoxLimitModel(PosePrior):
 
     def mode(self) -> np.ndarray:
         return (self.lo + self.hi) / 2.0
-
-    def mean_vector(self) -> np.ndarray:
-        return self.mode()
 
     def to_params(self) -> dict:
         return {"lo": self.lo, "hi": self.hi, "stiffness": self.stiffness}
@@ -556,6 +554,4 @@ def box_from_data(data, stiffness: float = 1.0, margin: float = 0.0) -> BoxLimit
     flat = lo >= hi
     lo[flat] -= 1e-9
     hi[flat] += 1e-9
-    return BoxLimitModel(lo=lo, hi=hi, stiffness=stiffness,
-                         fit_meta={"seed": None, "jitter": None,
-                                   "iterations": None, "final_loglik": None})
+    return BoxLimitModel(lo=lo, hi=hi, stiffness=stiffness)

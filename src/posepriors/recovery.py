@@ -79,16 +79,13 @@ def _initial_point(obs: Observation, prior, objective) -> tuple[np.ndarray, floa
     x = obs.values.copy()
     free = ~obs.mask
     if np.any(free):
-        mode_fn = getattr(prior, "mode", None)
-        x[free] = mode_fn()[free] if mode_fn is not None else 0.0
+        x[free] = prior.mode()[free]
     fx = objective(x)
+    if fx == math.inf and np.any(free):
+        x[free] = prior.mean_vector()[free]
+        fx = objective(x)
     if fx == math.inf:
-        mean_fn = getattr(prior, "mean_vector", None)
-        if mean_fn is not None and np.any(free):
-            x[free] = mean_fn()[free]
-            fx = objective(x)
-        if fx == math.inf:
-            raise NumericalError("prior assigns zero probability at every initialization")
+        raise NumericalError("prior assigns zero probability at every initialization")
     return x, fx
 
 

@@ -518,7 +518,6 @@ def train(model: VaeModel, data, cfg: TrainConfig):
         trace.append(VaeLossBreakdown(*means))
     trained.fit_meta.update(
         seed=cfg.seed,
-        jitter=None,
         iterations=cfg.epochs,
         final_loglik=-trace[-1].l_total,
         optimizer=cfg.optimizer,
@@ -574,16 +573,13 @@ class VaeEnergyPrior(PosePrior):
     def dim(self) -> int:
         return self.model.pose_dim
 
-    def log_prob_many(self, xs) -> np.ndarray:
-        xs = np.asarray(xs, dtype=float)
-        if xs.shape[1:] != (self.dim,):
-            raise ValueError(f"pose has shape {xs.shape[1:]}, expected ({self.dim},)")
+    def _log_prob_rows(self, xs: np.ndarray) -> np.ndarray:
         rots = rotations.exp(xs.reshape(len(xs), self.model.n_joints, 3))
         out = mlp_forward(self.model.encoder, rots.reshape(len(xs), -1))[0]
         mu = out[:, : self.model.latent_dim]
         return -(mu[:, None, :] @ mu[:, :, None])[:, 0, 0]  # per-row dots, as in vae_prior_energy
 
-    def grad_log_prob(self, x) -> np.ndarray:
+    def _grad(self, x: np.ndarray) -> np.ndarray:
         return -vae_prior_energy(self.model, x)[1]
 
     def support_points(self, count: int, rng: np.random.Generator, h: float) -> np.ndarray:

@@ -189,6 +189,11 @@ class TestGammaLogProb:
             inside = x[0] > 0.0 and x[1] < 0.0
             assert (model.log_prob(x) > -np.inf) == inside
 
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+    def test_mode_is_inside_support(self, alpha):
+        model = GammaModel(alpha=[alpha, alpha], beta=[1.0, 2.0], sign=[1, -1], shift=[0.0, 0.5])
+        assert model.log_prob(model.mode()) > -np.inf
+
     def test_product_over_dimensions(self):
         a = GammaModel(alpha=[2.0], beta=[3.0], sign=[1], shift=[0.0])
         b = GammaModel(alpha=[1.5], beta=[0.5], sign=[1], shift=[0.0])

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from posepriors.errors import DataError
 from posepriors.gradcheck import max_relative_error, sample_in_support
 from posepriors.posedata import MotionSequence, compute_deltas
 from posepriors.priors import (
@@ -84,3 +85,27 @@ def test_gradient_matches_central_differences(name, seed):
 def test_vae_log_prob_is_negated_energy(x):
     prior = PRIORS["vae"]
     assert prior.log_prob(x) == -vae_prior_energy(prior.model, x)[0]
+
+
+BAD_BATCHES = {"(n, 1)": lambda d: (3, 1), "(n, d + 1)": lambda d: (3, d + 1),
+               "(n, d, 1)": lambda d: (3, d, 1), "(d,)": lambda d: (d,)}
+
+
+@pytest.mark.parametrize("name", sorted(PRIORS))
+@pytest.mark.parametrize("shape", sorted(BAD_BATCHES))
+def test_log_prob_many_rejects_a_batch_not_n_by_dim(name, shape):
+    prior = PRIORS[name]
+    with pytest.raises(DataError, match="batch has shape"):
+        prior.log_prob_many(np.zeros(BAD_BATCHES[shape](prior.dim)))
+
+
+@pytest.mark.parametrize("name", sorted(PRIORS))
+@pytest.mark.parametrize("query", ["log_prob", "grad_log_prob"])
+def test_point_queries_reject_a_nan_or_long_point(name, query):
+    prior = PRIORS[name]
+    x = sample_in_support(prior, 1, 0)[0]
+    with_nan = x.copy()
+    with_nan[-1] = np.nan
+    for point, message in ((with_nan, "non-finite"), (np.append(x, 0.0), "vector has shape")):
+        with pytest.raises(DataError, match=message):
+            getattr(prior, query)(point)

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from posepriors import linalg, recovery
 from posepriors.errors import NumericalError
-from posepriors.priors import BoxLimitModel, GammaModel, GmmModel, mvn_from_moments
+from posepriors.priors import BoxLimitModel, GammaModel, GmmModel, PosePrior, mvn_from_moments
 from posepriors.recovery import Observation, recover_pose
 
 
@@ -142,6 +142,22 @@ class TestRecoverPose:
                           mask=np.array([True, False]))
         result = recover_pose(obs, prior, lam=1.0)
         assert prior.log_prob(result.estimate) > -np.inf
+
+    def test_prior_without_mode_starts_free_dims_at_zero(self):
+        class Flat(PosePrior):
+            dim = 3
+
+            def _log_prob_rows(self, xs):
+                return np.zeros(len(xs))
+
+            def _grad(self, x):
+                return np.zeros(self.dim)
+
+        obs = Observation(values=np.array([0.5, -1.0, 2.0]), noise_sigma=0.1,
+                          mask=np.array([True, False, False]))
+        result = recover_pose(obs, Flat(), lam=1.0)
+        assert result.estimate.tolist() == [0.5, 0.0, 0.0]
+        assert result.stop_reason == "grad_tol" and result.iterations_used == 1
 
     def test_gamma_observed_out_of_support_errors(self):
         prior = GammaModel(alpha=[2.0], beta=[2.0], sign=[1], shift=[0.0])
