@@ -5,7 +5,10 @@ for an (n, d) batch, log_prob(x) -> float and grad_log_prob(x) -> vector,
 everything in log space (a raw 66-dimensional Gaussian PDF underflows
 float64). PosePrior checks the input once; a family holds only the math,
 _log_prob_rows and _grad. log_prob is log_prob_many on one row, so the
-single-point and batched values agree exactly. Families: soft box limits,
+two agree bit for bit there. In a larger batch, gamma and box rows (row
+sums of elementwise terms) and VAE rows (stacks of one-row products,
+vae._rows_times) keep those bits; MVN and GMM rows, whitened by a GEMM,
+can differ in their last bits. Families: soft box limits,
 multivariate normal, per-dimension gamma with sign/shift, Gaussian
 mixtures fit by EM, and a temporal mixture over (dt, dtheta) motion
 deltas.

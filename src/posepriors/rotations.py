@@ -4,7 +4,10 @@ Every kernel works elementwise over the leading axes, so a stack of poses
 gives, bit for bit, the results of the same call made one pose at a time.
 The coefficients A = sin t / t, B = (1 - cos t) / t^2 and
 C = (t - sin t) / t^3 switch to their Taylor series below _SERIES_ANGLE,
-where the closed forms divide zero by zero or lose digits to cancellation.
+where the closed forms divide zero by zero or lose digits to cancellation;
+the series are evaluated only when some angle in the stack is that small.
+_cross takes the products np.cross takes, so it gives np.cross's bits
+without its dispatch cost, which dominates on one 22-joint pose.
 """
 
 from __future__ import annotations
@@ -18,22 +21,37 @@ def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return u[..., 0] * v[..., 0] + u[..., 1] * v[..., 1] + u[..., 2] * v[..., 2]
 
 
+def _cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """u x v over the last axis, from the products np.cross takes, so the same bits."""
+    return np.stack([u[..., 1] * v[..., 2] - u[..., 2] * v[..., 1],
+                     u[..., 2] * v[..., 0] - u[..., 0] * v[..., 2],
+                     u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]], axis=-1)
+
+
 def _coefficients(theta: np.ndarray):
     """A, B, C of the exponential map and its Jacobian at angles theta."""
-    t2 = theta * theta
     small = theta < _SERIES_ANGLE
     t = np.where(small, 1.0, theta)
+    sin_t = np.sin(t)
     half = np.sin(0.5 * t) / t  # B = 2 (sin(t/2) / t)^2 does not cancel
-    a = np.where(small, 1.0 - t2 / 6.0 * (1.0 - t2 / 20.0), np.sin(t) / t)
-    b = np.where(small, 0.5 - t2 / 24.0 * (1.0 - t2 / 30.0), 2.0 * half * half)
-    c = np.where(small, (1.0 - t2 / 20.0 * (1.0 - t2 / 42.0)) / 6.0, (t - np.sin(t)) / t**3)
+    a, b, c = sin_t / t, 2.0 * half * half, (t - sin_t) / t**3
+    if np.any(small):
+        t2 = theta * theta
+        a = np.where(small, 1.0 - t2 / 6.0 * (1.0 - t2 / 20.0), a)
+        b = np.where(small, 0.5 - t2 / 24.0 * (1.0 - t2 / 30.0), b)
+        c = np.where(small, (1.0 - t2 / 20.0 * (1.0 - t2 / 42.0)) / 6.0, c)
     return a, b, c
 
 
 def exp(w) -> np.ndarray:
     """Rodrigues map R = I + A [w]x + B [w]x^2, with [w]x^2 = w w^T - t^2 I."""
     w = np.asarray(w, dtype=float)
-    skew = np.cross(np.eye(3), w[..., None, :])  # row i of [w]x is e_i x w
+    # Row i of [w]x is np.cross(e_i, w) up to the signs of its zeros, which R
+    # cannot show: I + A [w]x adds +0 or 1 to them, and +0 + -0 = +0.
+    w0, w1, w2 = w[..., 0], w[..., 1], w[..., 2]
+    zero = np.zeros_like(w0)
+    skew = np.stack([zero, -w2, w1, w2, zero, -w0, -w1, w0, zero], axis=-1)
+    skew = skew.reshape(w.shape + (3,))
     t2 = _dot(w, w)[..., None, None]
     a, b, _ = _coefficients(np.sqrt(t2))
     return np.eye(3) + a * skew + b * (w[..., :, None] * w[..., None, :] - t2 * np.eye(3))
@@ -87,10 +105,10 @@ def exp_vjp(w, r, g) -> np.ndarray:
     A a - B (w x a) + C w (w.a), which tends to a at t = 0.
     """
     w = np.asarray(w, dtype=float)
-    cols = np.cross(np.swapaxes(r, -1, -2), np.swapaxes(g, -1, -2))
+    cols = _cross(np.swapaxes(r, -1, -2), np.swapaxes(g, -1, -2))
     a_vec = cols[..., 0, :] + cols[..., 1, :] + cols[..., 2, :]
     a, b, c = _coefficients(np.sqrt(_dot(w, w))[..., None])
-    return a * a_vec - b * np.cross(w, a_vec) + c * _dot(w, a_vec)[..., None] * w
+    return a * a_vec - b * _cross(w, a_vec) + c * _dot(w, a_vec)[..., None] * w
 
 
 def det3(m) -> np.ndarray:
@@ -105,7 +123,7 @@ def det3(m) -> np.ndarray:
 def det3_grad(m) -> np.ndarray:
     """Gradient of det3: row i is the cross product of the other two rows."""
     m0, m1, m2 = m[..., 0, :], m[..., 1, :], m[..., 2, :]
-    return np.stack([np.cross(m1, m2), np.cross(m2, m0), np.cross(m0, m1)], axis=-2)
+    return np.stack([_cross(m1, m2), _cross(m2, m0), _cross(m0, m1)], axis=-2)
 
 
 def _floor(x: np.ndarray) -> np.ndarray:

@@ -16,8 +16,10 @@ einsum, so no result depends on the BLAS thread count.
 
 The trained encoder doubles as a pose prior: the squared norm of the
 latent mean is an energy that is low for poses resembling the training
-set, with an exact gradient chained through the closed-form VJP of the
-batched Rodrigues map in `rotations`.
+set, with an exact gradient: the encoder pass back forms only its input
+gradient, which the closed-form VJP of the batched Rodrigues map in
+`rotations` pulls back to the pose. Weight gradients are formed only in
+training (`_backward`).
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import numpy as np
 
 from . import rotations
 from .posedata import csv_text, matrices_to_axis_angle, samples_of, write_text
-from .priors import PosePrior
+from .priors import PosePrior, _check_vec
 from .rotations import project_to_rotations
 
 LOGVAR_CLAMP = 10.0
@@ -107,19 +109,23 @@ def mlp_forward(mlp: MlpParams, x: np.ndarray):
 
 
 def mlp_backward(mlp: MlpParams, cache, g_out: np.ndarray):
-    """Reverse pass over (B, out) rows: per-layer (dW, db) summed over the
-    rows, in forward order, plus the (B, in) input gradient. dW is an einsum:
-    a GEMM would sum the rows in an order set by the BLAS thread count.
-    """
-    grads = [None] * len(mlp.layers)
+    """Reverse pass over (B, out) rows: the per-layer (B, out) pre-activation
+    gradients, in forward order, and the (B, in) input gradient."""
+    g_us = [None] * len(mlp.layers)
     g = np.asarray(g_out, dtype=float)
     for k in range(len(mlp.layers) - 1, -1, -1):
         layer = mlp.layers[k]
-        a_prev, a_out = cache[k]
-        g_u = g * (1.0 - a_out**2) if layer.activation == "tanh" else g
-        grads[k] = (np.einsum("bo,bi->oi", g_u, a_prev), g_u.sum(axis=0))
+        g_u = g * (1.0 - cache[k][1] ** 2) if layer.activation == "tanh" else g
+        g_us[k] = g_u
         g = _rows_times(g_u, layer.weight)
-    return grads, g
+    return g_us, g
+
+
+def _weight_grads(cache, g_us) -> list:
+    """Per-layer (dW, db) summed over the rows. dW is an einsum: a GEMM
+    would sum the rows in an order set by the BLAS thread count."""
+    return [(np.einsum("bo,bi->oi", g_u, a_prev), g_u.sum(axis=0))
+            for (a_prev, _), g_u in zip(cache, g_us)]
 
 
 def mlp_to_doc(mlp: MlpParams) -> list:
@@ -406,17 +412,18 @@ def _backward(model: VaeModel, state: dict):
     g_rhat += (w.w_det1 * det_sign)[..., None, None] * rotations.det3_grad(r_hat)
     g_rhat += w.w_reg * state["reg_grad"]
 
-    dec_grads, g_z = mlp_backward(model.decoder, state["dec_cache"], g_rhat.reshape(len(mu), -1))
+    dec_g_us, g_z = mlp_backward(model.decoder, state["dec_cache"], g_rhat.reshape(len(mu), -1))
 
     g_mu = g_z + w.w_kl * mu
     std_half = 0.5 * np.exp(logvar / 2.0)
     g_logvar = g_z * std_half * state["eps"] + w.w_kl * 0.5 * (np.exp(logvar) - 1.0)
     inside = np.abs(state["logvar_raw"]) < LOGVAR_CLAMP
     g_logvar_raw = np.where(inside, g_logvar, 0.0)
-    enc_grads, _ = mlp_backward(
+    enc_g_us, _ = mlp_backward(
         model.encoder, state["enc_cache"], np.concatenate([g_mu, g_logvar_raw], axis=1)
     )
-    return enc_grads, dec_grads
+    return (_weight_grads(state["enc_cache"], enc_g_us),
+            _weight_grads(state["dec_cache"], dec_g_us))
 
 
 def _one_sample(model: VaeModel, r, seed: int) -> dict:
@@ -544,11 +551,13 @@ def vae_prior_energy(model: VaeModel, p) -> tuple[float, np.ndarray]:
     The trained KL term pulls plausible poses toward latent mean zero, so
     this energy is small on poses resembling the training set. Gradient is
     chained through the encoder and the closed-form VJP of the Rodrigues
-    map.
+    map. A pose that is not a finite (pose_dim,) vector raises DataError.
     """
-    p = np.asarray(p, dtype=float)
-    if p.shape != (model.pose_dim,):
-        raise ValueError(f"pose has shape {p.shape}, expected ({model.pose_dim},)")
+    return _prior_energy(model, _check_vec(p, model.pose_dim))
+
+
+def _prior_energy(model: VaeModel, p: np.ndarray) -> tuple[float, np.ndarray]:
+    """vae_prior_energy at a pose already checked."""
     w = p.reshape(-1, 3)
     rot = rotations.exp(w)
     out, cache = mlp_forward(model.encoder, rot.reshape(1, -1))
@@ -580,7 +589,7 @@ class VaeEnergyPrior(PosePrior):
         return -(mu[:, None, :] @ mu[:, :, None])[:, 0, 0]  # per-row dots, as in vae_prior_energy
 
     def _grad(self, x: np.ndarray) -> np.ndarray:
-        return -vae_prior_energy(self.model, x)[1]
+        return -_prior_energy(self.model, x)[1]
 
     def support_points(self, count: int, rng: np.random.Generator, h: float) -> np.ndarray:
         # A clipped normal: no joint's rotation angle exceeds 2.5 rad.

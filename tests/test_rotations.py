@@ -105,3 +105,80 @@ def test_polar_is_a_rotation_with_exact_vjp(seed, reflect):
         down[idx] -= h
         fd[idx] = np.sum(g * (rotations.polar(up)[0] - rotations.polar(down)[0])) / (2 * h)
     assert np.abs(vjp(g) - fd).max() <= 1e-7 * max(1.0, np.abs(fd).max())
+
+
+# Reference forms of exp, exp_vjp and det3_grad through np.cross, with
+# every Taylor branch evaluated: the kernels must give these bits exactly.
+
+
+def _coefficients_oracle(theta):
+    t2 = theta * theta
+    small = theta < 1e-3
+    t = np.where(small, 1.0, theta)
+    half = np.sin(0.5 * t) / t
+    a = np.where(small, 1.0 - t2 / 6.0 * (1.0 - t2 / 20.0), np.sin(t) / t)
+    b = np.where(small, 0.5 - t2 / 24.0 * (1.0 - t2 / 30.0), 2.0 * half * half)
+    c = np.where(small, (1.0 - t2 / 20.0 * (1.0 - t2 / 42.0)) / 6.0, (t - np.sin(t)) / t**3)
+    return a, b, c
+
+
+def _exp_oracle(w):
+    skew = np.cross(np.eye(3), w[..., None, :])
+    t2 = rotations._dot(w, w)[..., None, None]
+    a, b, _ = _coefficients_oracle(np.sqrt(t2))
+    return np.eye(3) + a * skew + b * (w[..., :, None] * w[..., None, :] - t2 * np.eye(3))
+
+
+def _exp_vjp_oracle(w, r, g):
+    cols = np.cross(np.swapaxes(r, -1, -2), np.swapaxes(g, -1, -2))
+    a_vec = cols[..., 0, :] + cols[..., 1, :] + cols[..., 2, :]
+    a, b, c = _coefficients_oracle(np.sqrt(rotations._dot(w, w))[..., None])
+    return a * a_vec - b * np.cross(w, a_vec) + c * rotations._dot(w, a_vec)[..., None] * w
+
+
+def _det3_grad_oracle(m):
+    m0, m1, m2 = m[..., 0, :], m[..., 1, :], m[..., 2, :]
+    return np.stack([np.cross(m1, m2), np.cross(m2, m0), np.cross(m0, m1)], axis=-2)
+
+
+def _assert_kernels_keep_oracle_bits(w, g):
+    r = rotations.exp(w)
+    assert r.tobytes() == _exp_oracle(w).tobytes()
+    assert rotations.exp_vjp(w, r, g).tobytes() == _exp_vjp_oracle(w, r, g).tobytes()
+    for m in (r, g):
+        assert rotations.det3_grad(m).tobytes() == _det3_grad_oracle(m).tobytes()
+
+
+def test_kernels_keep_np_cross_bits_on_a_large_stack():
+    rng = np.random.default_rng(0)
+    w = rng.normal(0.0, 1.5, (5000, 22, 3))
+    _assert_kernels_keep_oracle_bits(w, rng.standard_normal((5000, 22, 3, 3)))
+
+
+def test_kernels_keep_signed_zero_bits():
+    rng = np.random.default_rng(1)
+    w = rng.choice([0.0, -0.0, 1e-320, -1e-170, 1e-9, -1e-9, 0.5, -2.0], (200, 22, 3))
+    w[::7] = 0.0  # whole poses at the identity
+    w[1::7] = -0.0
+    w[:, 3] = 0.0  # and all-zero joints within other poses
+    g = rng.choice([0.0, -0.0, 1.0, -0.5], (200, 22, 3, 3))
+    assert np.any(np.signbit(w) & (w == 0.0)) and np.any(np.signbit(g) & (g == 0.0))
+    _assert_kernels_keep_oracle_bits(w, g)
+
+
+def test_kernels_keep_bits_where_small_and_large_angles_mix():
+    rng = np.random.default_rng(2)
+    axis = rng.standard_normal((300, 22, 3))
+    axis /= np.linalg.norm(axis, axis=-1, keepdims=True)
+    angles = rng.choice([1e-12, 1e-6, 9.99e-4, 1e-3, 1.001e-3, 0.3, 2.0], (300, 22, 1))
+    theta = np.sqrt(rotations._dot(axis * angles, axis * angles))
+    assert np.any(theta < 1e-3) and np.any(theta >= 1e-3)
+    _assert_kernels_keep_oracle_bits(axis * angles, rng.standard_normal((300, 22, 3, 3)))
+
+
+def test_kernels_keep_bits_at_pi():
+    rng = np.random.default_rng(3)
+    w = np.concatenate([math.pi * np.eye(3), -math.pi * np.eye(3)])[:, None, :]
+    axis = rng.standard_normal((50, 1, 3))
+    w = np.concatenate([w, math.pi * axis / np.linalg.norm(axis, axis=-1, keepdims=True)])
+    _assert_kernels_keep_oracle_bits(w, rng.standard_normal((len(w), 1, 3, 3)))

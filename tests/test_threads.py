@@ -56,7 +56,7 @@ def _commands(root: Path, out: Path) -> list[list[str]]:
     for family in ("vae", "gmm", "mvn"):
         cmds.append(["grad-check", "--model", str(out / f"{family}.json"), "--count", "20",
                      "--seed", "3", "--out", str(out / f"gradcheck-{family}.json")])
-    for family in ("mvn", "gmm"):
+    for family in ("mvn", "gmm", "vae"):
         cmds.append(["recover", "--obs", str(root / "obs.json"), "--model",
                      str(out / f"{family}.json"), "--out", str(out / f"recover-{family}.json")])
     return cmds
@@ -87,6 +87,6 @@ def test_cli_outputs_identical_for_one_and_two_blas_threads(tmp_path):
     one, two = _run(tmp_path, 1), _run(tmp_path, 2)
     names = sorted(p.name for p in one.iterdir())
     assert names == sorted(p.name for p in two.iterdir())
-    assert len(names) == 18
+    assert len(names) == 19
     differ = [n for n in names if (one / n).read_bytes() != (two / n).read_bytes()]
     assert differ == []

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from posepriors import posedata, rotations, vae
+from posepriors.errors import DataError
 from posepriors.posedata import PoseDataset, axis_angle_to_matrices, default_column_names
 from posepriors.vae import (
     LossWeights,
@@ -430,6 +431,17 @@ class TestPriorEnergy:
         assert prior.log_prob(p) == -e
         np.testing.assert_allclose(prior.grad_log_prob(p), -g)
         assert prior.dim == 6
+
+    def test_rejects_a_nan_or_wrong_shape_pose(self):
+        model = tiny_model()
+        p = np.full(6, 0.1)
+        p[4] = np.nan
+        with pytest.raises(DataError, match="non-finite"):
+            vae_prior_energy(model, p)
+        with pytest.raises(DataError, match=r"vector has shape \(9,\), expected \(6,\)"):
+            vae_prior_energy(model, np.zeros(9))
+        with pytest.raises(DataError, match="vector has shape"):
+            vae_prior_energy(model, np.zeros((2, 3)))
 
     def test_gradient_near_zero_pose(self):
         # The Rodrigues pullback switches to its small-angle form here.
