@@ -37,27 +37,31 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _emit(value, out_path: str | None, text_of=None, save=None) -> None:
+def _emit(value, out_path: str | None, text_of=None) -> None:
     """The one stdout-or-file choice: `text_of(value)` (`modelio.canonical_dumps`, looked up
-    per call, by default) to stdout, or to `out_path`, written by `save(value, path)` if given."""
-    text_of = text_of or modelio.canonical_dumps
-    if not out_path:
-        sys.stdout.write(text_of(value))
-    elif save:
-        save(value, out_path)
+    per call, by default) to stdout, or to `out_path`."""
+    text = (text_of or modelio.canonical_dumps)(value)
+    if out_path:
+        posedata.write_text(out_path, text)
     else:
-        posedata.write_text(out_path, text_of(value))
+        sys.stdout.write(text)
 
 
-def _seed(text: str) -> int:
-    """A --seed value: a non-negative integer, checked while parsing."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = -1
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
-    return value
+def _int_type(low: int, kind: str):
+    """An argparse type: an integer of at least `low`, checked while parsing."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be {kind} integer, got {text!r}")
+        return value
+    return parse
+
+
+_seed = _int_type(0, "a non-negative")
+_positive = _int_type(1, "a positive")
 
 
 def _parse_ints(text: str | None, flag: str):
@@ -77,7 +81,7 @@ def _cmd_gen(args) -> int:
     spec = posedata.SynthSpec.from_json(args.spec)
     seed = args.seed if args.seed is not None else spec.seed
     dataset = posedata.synth_generate(spec, seed=seed)
-    _emit(dataset, args.out, posedata.pose_csv_text, posedata.save_pose_csv)
+    _emit(dataset, args.out, posedata.pose_csv_text)
     return 0
 
 
@@ -100,8 +104,6 @@ _FITTERS = {
 
 
 def _cmd_fit(args) -> int:
-    if args.model in ("gmm", "temporal-gmm") and args.k < 1:
-        raise UsageError("--k must be a positive component count")
     _emit(modelio.model_to_doc(_FITTERS[args.model](args)), args.out)
     return 0
 
@@ -165,6 +167,8 @@ def _cmd_train_vae(args) -> int:
     if data.dim % 3 != 0:
         raise DataError("train-vae needs a dataset with 3 columns per joint")
     hidden = _parse_ints(args.hidden, "--hidden")
+    if any(width < 1 for width in hidden):
+        raise UsageError(f"--hidden widths must be positive, got {args.hidden!r}")
     model = vae.build_vae(
         n_joints=data.dim // 3, latent_dim=args.latent, hidden=hidden, seed=args.seed
     )
@@ -241,11 +245,11 @@ def _build_parser() -> _Parser:
     p.add_argument("--model", required=True, choices=list(_FITTERS))
     p.add_argument("--data", required=True)
     p.add_argument("--out")
-    p.add_argument("--k", type=int, default=1)
+    p.add_argument("--k", type=_positive, default=1)
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--reg", type=float, default=1e-6)
     p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--max-iter", type=int, default=500)
+    p.add_argument("--max-iter", type=_positive, default=500)
     p.add_argument("--stiffness", type=float, default=1.0)
     p.add_argument("--margin", type=float, default=0.0)
     p.set_defaults(func=_cmd_fit)
@@ -259,8 +263,8 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("analyze", help="principal-component normal-fit diagnostic")
     p.add_argument("--data", required=True)
     p.add_argument("--dims", default=None)
-    p.add_argument("--count", type=int, default=3000)
-    p.add_argument("--bins", type=int, default=50)
+    p.add_argument("--count", type=_positive, default=3000)
+    p.add_argument("--bins", type=_positive, default=50)
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--feasible-lo", type=float, default=-1e9)
     p.add_argument("--feasible-hi", type=float, default=1e9)
@@ -270,11 +274,11 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("train-vae", help="train the rotation-matrix VAE")
     p.add_argument("--data", required=True)
-    p.add_argument("--epochs", type=int, default=50)
-    p.add_argument("--batch", type=int, default=32)
+    p.add_argument("--epochs", type=_positive, default=50)
+    p.add_argument("--batch", type=_positive, default=32)
     p.add_argument("--lr", type=float, default=1e-3)
     p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--latent", type=int, default=8)
+    p.add_argument("--latent", type=_positive, default=8)
     p.add_argument("--hidden", default="64,64")
     p.add_argument("--optimizer", choices=["sgd", "adam"], default="adam")
     p.add_argument("--out")
@@ -285,7 +289,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--obs", required=True)
     p.add_argument("--model", required=True)
     p.add_argument("--lambda", dest="lam", type=float, default=1.0)
-    p.add_argument("--max-iter", type=int, default=500)
+    p.add_argument("--max-iter", type=_positive, default=500)
     p.add_argument("--step", type=float, default=1.0)
     p.add_argument("--tol", type=float, default=1e-6)
     p.add_argument("--out")
@@ -293,7 +297,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("grad-check", help="compare analytic and numeric gradients")
     p.add_argument("--model", required=True)
-    p.add_argument("--count", type=int, default=100)
+    p.add_argument("--count", type=_positive, default=100)
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_grad_check)

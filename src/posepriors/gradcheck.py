@@ -11,19 +11,6 @@ from __future__ import annotations
 import numpy as np
 
 
-def finite_diff_gradient(f, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
-    """Central differences, one coordinate at a time."""
-    x = np.asarray(x, dtype=float)
-    grad = np.empty_like(x)
-    for i in range(x.shape[0]):
-        xp = x.copy()
-        xm = x.copy()
-        xp[i] += h
-        xm[i] -= h
-        grad[i] = (f(xp) - f(xm)) / (2.0 * h)
-    return grad
-
-
 def _finite_diff_batch(prior, xs: np.ndarray, h: float) -> np.ndarray:
     """Central differences for all points at once via log_prob_many."""
     n, d = xs.shape

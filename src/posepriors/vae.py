@@ -5,14 +5,15 @@ reverse-mode backpropagation on a five-term loss: KL to the standard
 normal, squared reconstruction error, an orthonormality penalty, a
 unit-determinant penalty, and a squared-magnitude penalty on the
 axis-angle recovery of the decoded matrices. The decoder output is fed
-raw to the orthonormality/determinant terms; only the regularizer and
-inference-time decoding project it to the nearest rotation
-(`rotations.polar`).
+raw to the reconstruction, orthonormality and determinant terms; only the
+regularizer projects it to the nearest rotation (`rotations.polar`).
 
 A mini-batch runs as matrices: the MLPs on (B, in) rows, the loss terms
-and their gradients on (B, J, 3, 3) stacks; one sample is a batch of one.
-Row products are stacks of one-row products and the weight gradient is an
-einsum, so no result depends on the BLAS thread count.
+and their gradients on stacks; one sample is a batch of one. The four
+public terms (`kl_loss`, `rec_loss`, `orth_loss`, `det1_loss`) return one
+value per sample, and training computes each through them. Row products
+are stacks of one-row products and the weight gradient is an einsum, so
+no result depends on the BLAS thread count.
 
 The trained encoder doubles as a pose prior: the squared norm of the
 latent mean is an energy that is low for poses resembling the training
@@ -30,7 +31,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import rotations
-from .posedata import csv_text, matrices_to_axis_angle, samples_of, write_text
+from .posedata import csv_text, samples_of, write_text
 from .priors import PosePrior, _check_vec
 from .rotations import project_to_rotations
 
@@ -294,7 +295,7 @@ def decode(model: VaeModel, z) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Loss terms; kl, orth and det1 also take stacks and return one value per sample
+# Loss terms: each takes a stack and returns one value per sample
 
 
 def kl_loss(mu, logvar):
@@ -306,13 +307,13 @@ def kl_loss(mu, logvar):
     return 0.5 * np.sum(mu**2 + np.exp(logvar) - 1.0 - logvar, axis=-1)
 
 
-def rec_loss(r, r_hat) -> float:
-    """Sum of squared entrywise differences."""
-    a = np.asarray(r, dtype=float).ravel()
-    b = np.asarray(r_hat, dtype=float).ravel()
+def rec_loss(r, r_hat):
+    """Sum of squared entrywise differences, per pose of a (..., J, 3, 3) stack."""
+    a = np.asarray(r, dtype=float)
+    b = np.asarray(r_hat, dtype=float)
     if a.shape != b.shape:
         raise ValueError("reconstruction shape mismatch")
-    return float(np.sum((a - b) ** 2))
+    return np.sum((a - b) ** 2, axis=(-3, -2, -1))
 
 
 def orth_loss(r_hat):
@@ -325,12 +326,6 @@ def orth_loss(r_hat):
 def det1_loss(r_hat):
     """Sum over joints of |det(R) - 1|, via cofactor expansion, per pose of a stack."""
     return np.sum(np.abs(rotations.det3(np.asarray(r_hat, dtype=float)) - 1.0), axis=-1)
-
-
-def reg_loss(pose_equiv) -> float:
-    """Squared L2 norm of an axis-angle pose vector."""
-    p = np.asarray(pose_equiv, dtype=float)
-    return float(np.sum(p**2))
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +374,7 @@ def _forward(model: VaeModel, x: np.ndarray, eps: np.ndarray) -> dict:
     r_hat = y.reshape(len(x), model.n_joints, 3, 3)
 
     l_kl = kl_loss(mu, logvar)
-    l_rec = np.sum((x - y) ** 2, axis=1)
+    l_rec = rec_loss(x.reshape(r_hat.shape), r_hat)
     l_orth = orth_loss(r_hat)
     l_det1 = det1_loss(r_hat)
     reg, reg_grad = _reg_joint_vjp(r_hat)
@@ -426,29 +421,11 @@ def _backward(model: VaeModel, state: dict):
             _weight_grads(state["dec_cache"], dec_g_us))
 
 
-def _one_sample(model: VaeModel, r, seed: int) -> dict:
-    eps = np.random.default_rng(seed).standard_normal((1, model.latent_dim))
-    return _forward(model, _flatten_rotations(r, model.input_dim)[None], eps)
-
-
 def total_loss(model: VaeModel, r, seed: int) -> VaeLossBreakdown:
     """Encode, reparameterize, decode; all five terms plus the weighted sum."""
-    return VaeLossBreakdown(*map(float, _one_sample(model, r, seed)["terms"][0]))
-
-
-@dataclass
-class VaeGradients:
-    encoder: list  # per layer (dW, db)
-    decoder: list
-    loss: VaeLossBreakdown
-
-
-def backward(model: VaeModel, r, seed: int) -> VaeGradients:
-    """Exact gradients of the weighted total loss for fixed noise."""
-    state = _one_sample(model, r, seed)
-    enc_grads, dec_grads = _backward(model, state)
-    return VaeGradients(encoder=enc_grads, decoder=dec_grads,
-                        loss=VaeLossBreakdown(*map(float, state["terms"][0])))
+    eps = np.random.default_rng(seed).standard_normal((1, model.latent_dim))
+    state = _forward(model, _flatten_rotations(r, model.input_dim)[None], eps)
+    return VaeLossBreakdown(*map(float, state["terms"][0]))
 
 
 # ---------------------------------------------------------------------------
@@ -598,8 +575,3 @@ class VaeEnergyPrior(PosePrior):
         norms = np.linalg.norm(joints, axis=2, keepdims=True)
         scale = np.where(norms > 2.5, 2.5 / norms, 1.0)
         return (joints * scale).reshape(count, self.dim)
-
-
-def decode_to_pose(model: VaeModel, z) -> np.ndarray:
-    """Inference-time decode: project to rotations, then recover axis-angle."""
-    return matrices_to_axis_angle(project_to_rotations(decode(model, z)))

@@ -422,3 +422,28 @@ def test_bad_seed_flag_is_usage_error(workdir, capsys, argv, seed):
     assert main([a.format(dir=workdir) for a in argv] + ["--seed", seed]) == 1
     assert capsys.readouterr().err == (
         f"usage error: argument --seed: must be a non-negative integer, got {seed!r}\n")
+
+
+@pytest.mark.parametrize("argv,flag,value", [
+    (["fit", "--model", "gmm", "--data", "{dir}/d.csv"], "--k", "0"),
+    (["fit", "--model", "gmm", "--data", "{dir}/d.csv"], "--max-iter", "0"),
+    (["analyze", "--data", "{dir}/d.csv"], "--count", "-5"),
+    (["analyze", "--data", "{dir}/d.csv"], "--bins", "0"),
+    (["train-vae", "--data", "{dir}/d.csv"], "--epochs", "0"),
+    (["train-vae", "--data", "{dir}/d.csv"], "--batch", "0"),
+    (["train-vae", "--data", "{dir}/d.csv"], "--latent", "0"),
+    (["recover", "--obs", "{dir}/no-obs.json", "--model", "{dir}/no-model.json"],
+     "--max-iter", "0"),
+    (["grad-check", "--model", "{dir}/no-model.json"], "--count", "0"),
+    (["grad-check", "--model", "{dir}/no-model.json"], "--count", "2.5"),
+], ids=lambda value: value[0] if isinstance(value, list) else value)
+def test_non_positive_count_flag_is_usage_error(workdir, capsys, argv, flag, value):
+    """Counts, sizes and iteration caps are checked while parsing, before any file is read."""
+    assert main([a.format(dir=workdir) for a in argv] + [flag, value]) == 1
+    assert capsys.readouterr().err == (
+        f"usage error: argument {flag}: must be a positive integer, got {value!r}\n")
+
+
+def test_zero_hidden_width_is_usage_error(workdir, capsys):
+    assert main(["train-vae", "--data", str(workdir / "d.csv"), "--hidden", "8,0"]) == 1
+    assert capsys.readouterr().err == "usage error: --hidden widths must be positive, got '8,0'\n"

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from posepriors import priors
-from posepriors.gradcheck import finite_diff_gradient
 from posepriors.posedata import MotionSequence, compute_deltas
 from posepriors.priors import (
     GmmModel,
@@ -13,6 +12,8 @@ from posepriors.priors import (
     fit_temporal_gmm,
     mvn_from_moments,
 )
+
+from oracles import finite_diff_gradient
 
 
 def two_cluster_data(n_per=5000, seed=2025):

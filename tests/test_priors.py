@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from posepriors.gradcheck import finite_diff_gradient
 from posepriors.priors import (
     BoxLimitModel,
     GammaModel,
@@ -12,6 +11,8 @@ from posepriors.priors import (
     fit_mvn,
     mvn_from_moments,
 )
+
+from oracles import finite_diff_gradient
 
 
 class TestFitMvn:
