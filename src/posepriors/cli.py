@@ -133,8 +133,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    data = posedata.load_pose_csv(args.data)
     dims = _parse_ints(args.dims, "--dims")
+    data = posedata.load_pose_csv(args.data)
     rng = np.random.default_rng(args.seed)
     n = data.n_samples
     if n > args.count:
@@ -163,12 +163,12 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_train_vae(args) -> int:
-    data = posedata.load_pose_csv(args.data)
-    if data.dim % 3 != 0:
-        raise DataError("train-vae needs a dataset with 3 columns per joint")
     hidden = _parse_ints(args.hidden, "--hidden")
     if any(width < 1 for width in hidden):
         raise UsageError(f"--hidden widths must be positive, got {args.hidden!r}")
+    data = posedata.load_pose_csv(args.data)
+    if data.dim % 3 != 0:
+        raise DataError("train-vae needs a dataset with 3 columns per joint")
     model = vae.build_vae(
         n_joints=data.dim // 3, latent_dim=args.latent, hidden=hidden, seed=args.seed
     )

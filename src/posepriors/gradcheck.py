@@ -29,11 +29,8 @@ def max_relative_error(prior, points: np.ndarray, h: float = 1e-5) -> float:
     points = np.asarray(points, dtype=float)
     analytic = np.stack([prior.grad_log_prob(x) for x in points])
     numeric = _finite_diff_batch(prior, points, h)
-    worst = 0.0
-    for ga, gn in zip(analytic, numeric):
-        denom = max(1.0, float(np.max(np.abs(ga))), float(np.max(np.abs(gn))))
-        worst = max(worst, float(np.max(np.abs(ga - gn))) / denom)
-    return worst
+    denom = np.maximum(1.0, np.maximum(np.abs(analytic).max(axis=1), np.abs(numeric).max(axis=1)))
+    return float((np.abs(analytic - numeric).max(axis=1) / denom).max())
 
 
 def sample_in_support(prior, count: int, seed: int, h: float = 1e-5) -> np.ndarray:

@@ -8,7 +8,11 @@ _log_prob_rows and _grad. log_prob is log_prob_many on one row, so the
 two agree bit for bit there. In a larger batch, gamma and box rows (row
 sums of elementwise terms) and VAE rows (stacks of one-row products,
 vae._rows_times) keep those bits; MVN and GMM rows, whitened by a GEMM,
-can differ in their last bits. Families: soft box limits,
+can differ in their last bits. A Gaussian model stacks its k factors'
+L_i^-1 into one (k, d, d) array once (k = 1 for the MVN). A batch takes
+one GEMM per component and 1024-row block; a point query takes its k
+products in one stacked call, the gemv or dot each component alone would
+make, so it keeps their bits. Families: soft box limits,
 multivariate normal, per-dimension gamma with sign/shift, Gaussian
 mixtures fit by EM, and a temporal mixture over (dt, dtheta) motion
 deltas.
@@ -38,31 +42,40 @@ def _check_vec(x, dim: int) -> np.ndarray:
 
 
 # Rows whitened per GEMM. Blocks keep the temporaries in cache: on 10^4
-# 66-d rows this is about 1.5x faster than one product over all rows.
+# 66-d rows this is about 1.5x faster than one product over all rows. The
+# block size fixes which rows share a GEMM, and so the bits of the rows.
 _ROW_BLOCK = 1024
 
 
-def _gaussian_log_joint(xs: np.ndarray, means, chols, log_w) -> np.ndarray:
+def _stack_factors(chols) -> tuple[np.ndarray, np.ndarray]:
+    """The (k, d, d) stack of the cached L_i^-1 and the (k,) log-determinants."""
+    return np.stack([chol.inverse for chol in chols]), np.array([chol.log_det for chol in chols])
+
+
+def _gaussian_log_joint(xs: np.ndarray, means, inv, log_det, log_w) -> np.ndarray:
     """(n, k) block of log N(x; mu_i, Sigma_i) + log w_i, one row per point.
 
-    A GEMM per row block whitens the centred points through the cached
-    L^-1; the Mahalanobis form is each whitened row's squared norm.
+    The centred points are whitened through the stacked L_i^-1 (inv); the
+    Mahalanobis form is each whitened row's squared norm.
     """
     n, d = xs.shape
-    out = np.empty((n, len(chols)))
-    for i, chol in enumerate(chols):
-        for s in range(0, n, _ROW_BLOCK):
-            w = (xs[s : s + _ROW_BLOCK] - means[i]) @ chol.inverse.T
-            out[s : s + _ROW_BLOCK, i] = np.einsum("nd,nd->n", w, w)
-        out[:, i] = log_w[i] - 0.5 * (d * LOG_2PI + chol.log_det + out[:, i])
-    return out
+    if n == 1:  # k stacked gemv calls, each the one a one-row GEMM makes: same bits
+        w = np.matmul(xs - means[:, None], inv.swapaxes(1, 2))[:, 0]
+        maha = np.einsum("nd,nd->n", w, w)[None]
+    else:
+        maha = np.empty((n, len(inv)))
+        for i in range(len(inv)):
+            for s in range(0, n, _ROW_BLOCK):
+                w = (xs[s : s + _ROW_BLOCK] - means[i]) @ inv[i].T
+                maha[s : s + _ROW_BLOCK, i] = np.einsum("nd,nd->n", w, w)
+    return log_w - 0.5 * (d * LOG_2PI + log_det + maha)
 
 
 def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
-    m = np.max(a, axis=axis, keepdims=True)
+    m = a.max(axis=axis, keepdims=True)
     m = np.where(np.isfinite(m), m, 0.0)
     with np.errstate(divide="ignore"):
-        return np.log(np.sum(np.exp(a - m), axis=axis)) + np.squeeze(m, axis=axis)
+        return np.log(np.exp(a - m).sum(axis=axis)) + m.squeeze(axis=axis)
 
 
 class PosePrior:
@@ -115,12 +128,15 @@ class MvnModel(PosePrior):
     chol: linalg.CholFactor
     fit_meta: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        self._inv, self._log_det = _stack_factors([self.chol])
+
     @property
     def dim(self) -> int:
         return self.mean.shape[0]
 
     def _log_prob_rows(self, xs: np.ndarray) -> np.ndarray:
-        return _gaussian_log_joint(xs, [self.mean], [self.chol], [0.0])[:, 0]
+        return _gaussian_log_joint(xs, self.mean[None], self._inv, self._log_det, 0.0)[:, 0]
 
     def _grad(self, x: np.ndarray) -> np.ndarray:
         w = self.chol.inverse @ (x - self.mean)
@@ -302,6 +318,7 @@ class GmmModel(PosePrior):
         if abs(total - 1.0) > self.weights.size * np.finfo(float).eps:
             self.weights = self.weights / total
         self._chols = [linalg.cholesky(c) for c in self.covs]
+        self._inv, self._log_det = _stack_factors(self._chols)
         self._log_w = np.log(self.weights)
 
     @property
@@ -313,22 +330,23 @@ class GmmModel(PosePrior):
         return self.means.shape[1]
 
     def _log_prob_rows(self, xs: np.ndarray) -> np.ndarray:
-        comp = _gaussian_log_joint(xs, self.means, self._chols, self._log_w)
+        comp = _gaussian_log_joint(xs, self.means, self._inv, self._log_det, self._log_w)
         return _logsumexp(comp, axis=1)
 
-    def _whiten_components(self, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-        """Responsibilities at x and the k whitened residuals L_i^-1 (x - mu_i)."""
-        whitened = [chol.inverse @ (x - mu) for mu, chol in zip(self.means, self._chols)]
-        log_joint = np.array([log_w - 0.5 * (self.dim * LOG_2PI + chol.log_det + w @ w)
-                              for log_w, chol, w in zip(self._log_w, self._chols, whitened)])
-        return np.exp(log_joint - _logsumexp(log_joint, axis=0)), whitened
+    def _whiten_components(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Responsibilities at x and the (k, d) whitened residuals L_i^-1 (x - mu_i)."""
+        w = np.matmul(self._inv, (x - self.means)[:, :, None])[:, :, 0]
+        maha = np.matmul(w[:, None], w[:, :, None])[:, 0, 0]
+        log_joint = self._log_w - 0.5 * (self.dim * LOG_2PI + self._log_det + maha)
+        return np.exp(log_joint - _logsumexp(log_joint, axis=0)), w
 
     def responsibilities(self, x) -> np.ndarray:
         return self._whiten_components(_check_vec(x, self.dim))[0]
 
     def _grad(self, x: np.ndarray) -> np.ndarray:
-        r, whitened = self._whiten_components(x)
-        return -sum(r_i * (w @ chol.inverse) for r_i, w, chol in zip(r, whitened, self._chols))
+        r, w = self._whiten_components(x)
+        # -sum_i r_i (w_i @ L_i^-1); the sum over axis 0 adds in component order.
+        return -(r[:, None] * np.matmul(w[:, None], self._inv)[:, 0]).sum(axis=0)
 
     def support_points(self, count: int, rng: np.random.Generator, h: float) -> np.ndarray:
         comps = rng.choice(self.n_components, size=count, p=self.weights)
@@ -405,7 +423,7 @@ def fit_gmm_em(data, k: int, seed: int = 0, reg: float = 1e-6, tol: float = 1e-8
     reseeds = 0
     converged = False
     for _ in range(max_iter):
-        comp = _gaussian_log_joint(x, means, chols, np.log(weights))
+        comp = _gaussian_log_joint(x, means, *_stack_factors(chols), np.log(weights))
         ll_n = _logsumexp(comp, axis=1)
         ll = float(np.sum(ll_n))
         trace.append(ll)

@@ -1,5 +1,7 @@
 """Reference implementations that tests compare the library against."""
 
+import math
+
 import numpy as np
 
 
@@ -20,3 +22,51 @@ def reg_loss(pose_equiv) -> float:
     """Squared L2 norm of an axis-angle pose vector."""
     p = np.asarray(pose_equiv, dtype=float)
     return float(np.sum(p**2))
+
+
+# The per-component Gaussian code that priors.py ran before it stacked the
+# L_i^-1 over k; the GMM and MVN queries must keep its bits. ROW_BLOCK is
+# fixed here: the block size decides which rows share a GEMM.
+LOG_2PI = math.log(2.0 * math.pi)
+ROW_BLOCK = 1024
+
+
+def gaussian_log_joint(xs: np.ndarray, means, chols, log_w) -> np.ndarray:
+    """(n, k) block of log N(x; mu_i, Sigma_i) + log w_i, one row per point."""
+    n, d = xs.shape
+    out = np.empty((n, len(chols)))
+    for i, chol in enumerate(chols):
+        for s in range(0, n, ROW_BLOCK):
+            w = (xs[s : s + ROW_BLOCK] - means[i]) @ chol.inverse.T
+            out[s : s + ROW_BLOCK, i] = np.einsum("nd,nd->n", w, w)
+        out[:, i] = log_w[i] - 0.5 * (d * LOG_2PI + chol.log_det + out[:, i])
+    return out
+
+
+def logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
+    m = np.max(a, axis=axis, keepdims=True)
+    m = np.where(np.isfinite(m), m, 0.0)
+    with np.errstate(divide="ignore"):
+        return np.log(np.sum(np.exp(a - m), axis=axis)) + np.squeeze(m, axis=axis)
+
+
+def gmm_whiten_components(gmm, chols, x: np.ndarray):
+    """Responsibilities at x and the k whitened residuals L_i^-1 (x - mu_i)."""
+    whitened = [chol.inverse @ (x - mu) for mu, chol in zip(gmm.means, chols)]
+    log_joint = np.array([log_w - 0.5 * (gmm.dim * LOG_2PI + chol.log_det + w @ w)
+                          for log_w, chol, w in zip(np.log(gmm.weights), chols, whitened)])
+    return np.exp(log_joint - logsumexp(log_joint, axis=0)), whitened
+
+
+def gmm_grad(gmm, chols, x: np.ndarray) -> np.ndarray:
+    r, whitened = gmm_whiten_components(gmm, chols, x)
+    return -sum(r_i * (w @ chol.inverse) for r_i, w, chol in zip(r, whitened, chols))
+
+
+def worst_relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
+    """The per-point loop gradcheck.max_relative_error reduced its gradients with."""
+    worst = 0.0
+    for ga, gn in zip(analytic, numeric):
+        denom = max(1.0, float(np.max(np.abs(ga))), float(np.max(np.abs(gn))))
+        worst = max(worst, float(np.max(np.abs(ga - gn))) / denom)
+    return worst

@@ -447,3 +447,12 @@ def test_non_positive_count_flag_is_usage_error(workdir, capsys, argv, flag, val
 def test_zero_hidden_width_is_usage_error(workdir, capsys):
     assert main(["train-vae", "--data", str(workdir / "d.csv"), "--hidden", "8,0"]) == 1
     assert capsys.readouterr().err == "usage error: --hidden widths must be positive, got '8,0'\n"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["analyze", "--dims", "a"], "--dims must be a comma-separated integer list, got 'a'"),
+    (["train-vae", "--hidden", "8,0"], "--hidden widths must be positive, got '8,0'"),
+], ids=["analyze", "train-vae"])
+def test_bad_list_flag_is_usage_error_before_data_is_read(workdir, capsys, argv, message):
+    assert main(argv + ["--data", str(workdir / "nope.csv")]) == 1
+    assert capsys.readouterr().err == f"usage error: {message}\n"

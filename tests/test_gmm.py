@@ -1,9 +1,10 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from posepriors import priors
+from posepriors import linalg, modelio, priors
 from posepriors.posedata import MotionSequence, compute_deltas
 from posepriors.priors import (
     GmmModel,
@@ -13,6 +14,7 @@ from posepriors.priors import (
     mvn_from_moments,
 )
 
+import oracles
 from oracles import finite_diff_gradient
 
 
@@ -192,6 +194,78 @@ class TestGaussianGradAgainstSolve:
         for _ in range(10):
             x = mean + 0.3 * rng.standard_normal(d)
             _assert_normwise_close(mvn.grad_log_prob(x), -np.linalg.solve(cov, x - mean))
+
+
+def _mixture(d, k):
+    rng = np.random.default_rng(100 * d + k)
+    means = rng.normal(0.0, 1.0, (k, d))
+    covs = np.stack([_spd(rng, d) for _ in range(k)])
+    weights = rng.uniform(0.5, 1.5, k)
+    return GmmModel(weights=weights / weights.sum(), means=means, covs=covs), rng
+
+
+def _near_means(gmm, rng, n):
+    return gmm.means[rng.integers(gmm.n_components, size=n)] + rng.standard_normal((n, gmm.dim))
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).tobytes()
+
+
+MIXTURES = [(d, k) for d in (2, 66) for k in (1, 3, 5)]
+# Around the 1024-row block: a tail block of 1, 2 and 6 rows, and none.
+BATCH_ROWS = (1, 2, 1023, 1024, 1025, 1030, 3000)
+
+
+class TestBitsAgainstPerComponentOracle:
+    """The stacked L_i^-1 queries keep every bit of the per-component code
+    in tests/oracles.py, batch, single point and EM alike."""
+
+    @pytest.mark.parametrize("d,k", MIXTURES)
+    @pytest.mark.parametrize("n", BATCH_ROWS)
+    def test_log_prob_many(self, d, k, n):
+        gmm, rng = _mixture(d, k)
+        chols = [linalg.cholesky(c) for c in gmm.covs]
+        xs = _near_means(gmm, rng, n)
+        comp = oracles.gaussian_log_joint(xs, gmm.means, chols, np.log(gmm.weights))
+        assert _bits(gmm.log_prob_many(xs)) == _bits(oracles.logsumexp(comp, axis=1))
+
+    @pytest.mark.parametrize("d,k", MIXTURES)
+    def test_point_queries(self, d, k):
+        gmm, rng = _mixture(d, k)
+        chols = [linalg.cholesky(c) for c in gmm.covs]
+        for x in _near_means(gmm, rng, 30):
+            comp = oracles.gaussian_log_joint(x[None], gmm.means, chols, np.log(gmm.weights))
+            assert _bits(gmm.log_prob(x)) == _bits(oracles.logsumexp(comp, axis=1)[0])
+            r, _ = oracles.gmm_whiten_components(gmm, chols, x)
+            assert _bits(gmm.responsibilities(x)) == _bits(r)
+            assert _bits(gmm.grad_log_prob(x)) == _bits(oracles.gmm_grad(gmm, chols, x))
+
+    @pytest.mark.parametrize("d", (2, 66))
+    def test_mvn_values(self, d):
+        gmm, rng = _mixture(d, 1)
+        mvn = mvn_from_moments(gmm.means[0], gmm.covs[0])
+        for n in BATCH_ROWS:
+            xs = _near_means(gmm, rng, n)
+            ref = oracles.gaussian_log_joint(xs, [mvn.mean], [mvn.chol], [0.0])[:, 0]
+            assert _bits(mvn.log_prob_many(xs)) == _bits(ref)
+        for x in xs[:30]:
+            ref = oracles.gaussian_log_joint(x[None], [mvn.mean], [mvn.chol], [0.0])[0, 0]
+            assert _bits(mvn.log_prob(x)) == _bits(ref)
+
+    @pytest.mark.parametrize("k", (1, 3, 5))
+    def test_fit_gmm_em_model_json(self, k, monkeypatch):
+        x = _near_means(*_mixture(66, 3), 1030)
+        fitted = modelio.canonical_dumps(modelio.model_to_doc(fit_gmm_em(x, k, seed=2, max_iter=8)))
+
+        def per_component(xs, means, inv, log_det, log_w):
+            chols = [SimpleNamespace(inverse=a, log_det=b) for a, b in zip(inv, log_det)]
+            return oracles.gaussian_log_joint(xs, means, chols, log_w)
+
+        monkeypatch.setattr(priors, "_gaussian_log_joint", per_component)
+        monkeypatch.setattr(priors, "_logsumexp", oracles.logsumexp)
+        oracle = fit_gmm_em(x, k, seed=2, max_iter=8)
+        assert fitted == modelio.canonical_dumps(modelio.model_to_doc(oracle))
 
 
 def constant_velocity_sequence(n=90, noise=2e-3, seed=12):

@@ -10,7 +10,13 @@ from posepriors.priors import PosePrior
 from posepriors.vae import VaeEnergyPrior
 
 QUERIES = ("log_prob_many", "log_prob", "grad_log_prob")
-RECOVERY = Path(__file__).resolve().parents[1] / "src" / "posepriors" / "recovery.py"
+REPO = Path(__file__).resolve().parents[1]
+RECOVERY = REPO / "src" / "posepriors" / "recovery.py"
+# The prior calls a recovery makes are counted by wrappers that count only
+# log_prob and grad_log_prob and forward every other attribute uncounted.
+COUNTING_PRIORS = {"posebench": REPO / "posebench" / "workloads.py",
+                   "tests": REPO / "tests" / "test_recovery.py"}
+RECOVERY_READS = {"dim", "log_prob", "grad_log_prob", "mode", "mean_vector"}
 
 
 @pytest.mark.parametrize("cls", [*modelio.FAMILIES.values(), VaeEnergyPrior],
@@ -44,3 +50,48 @@ def test_checker_flags_probes_of_the_prior():
 
 def test_recovery_does_not_probe_the_prior():
     assert prior_probes(RECOVERY.read_text(encoding="utf-8")) == []
+
+
+def prior_reads(source: str) -> set[str]:
+    """Every attribute read off a name `prior`."""
+    return {node.attr for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id == "prior"}
+
+
+def counting_methods(source: str) -> dict[str, bool]:
+    """CountingPrior's methods, each mapped to whether it adds to a self counter."""
+    cls = next(node for node in ast.walk(ast.parse(source))
+               if isinstance(node, ast.ClassDef) and node.name == "CountingPrior")
+    return {fn.name: any(isinstance(node, ast.AugAssign) and isinstance(node.target, ast.Attribute)
+                         and isinstance(node.target.value, ast.Name)
+                         and node.target.value.id == "self" for node in ast.walk(fn))
+            for fn in cls.body if isinstance(fn, ast.FunctionDef)}
+
+
+def test_checkers_see_reads_and_counters():
+    source = (
+        "class CountingPrior:\n"
+        "    def __getattr__(self, name):\n"
+        "        return getattr(self.prior, name)\n"
+        "    def value_and_grad(self, x):\n"
+        "        self.calls += 1\n"
+        "        return self.prior.value_and_grad(x)\n"
+        "def run(prior, obs):\n"
+        "    return prior.value_and_grad(obs.values), prior.dim\n"
+    )
+    assert prior_reads(source) == {"value_and_grad", "dim"}
+    assert counting_methods(source) == {"__getattr__": False, "value_and_grad": True}
+
+
+def test_recovery_reads_only_what_the_counting_priors_see():
+    # A fused or batched query read here would escape both counters, and
+    # prior_calls_per_pose would fall without less work being done.
+    assert prior_reads(RECOVERY.read_text(encoding="utf-8")) <= RECOVERY_READS
+
+
+@pytest.mark.parametrize("where", sorted(COUNTING_PRIORS))
+def test_counting_prior_counts_only_the_two_queries(where):
+    methods = counting_methods(COUNTING_PRIORS[where].read_text(encoding="utf-8"))
+    assert methods == {"__init__": False, "__getattr__": False,
+                       "log_prob": True, "grad_log_prob": True}

@@ -4,11 +4,14 @@ Hypothesis runs derandomized with few examples, so the suite stays
 deterministic and fast.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from posepriors import gradcheck
 from posepriors.errors import DataError
 from posepriors.gradcheck import max_relative_error, sample_in_support
 from posepriors.posedata import MotionSequence, compute_deltas
@@ -20,6 +23,8 @@ from posepriors.priors import (
     mvn_from_moments,
 )
 from posepriors.vae import VaeEnergyPrior, build_vae, vae_prior_energy
+
+from oracles import worst_relative_error
 
 D = 6
 PROPERTY = settings(max_examples=15, derandomize=True, deadline=None, database=None)
@@ -78,6 +83,26 @@ def test_gradient_matches_central_differences(name, seed):
     prior = PRIORS[name]
     worst = max_relative_error(prior, sample_in_support(prior, 4, seed))
     assert worst <= GRAD_TOL.get(name, 1e-4)
+
+
+@pytest.mark.parametrize("name", ["box", "gamma", "gmm", "mvn"])
+@PROPERTY
+@given(seed=seeds)
+def test_max_relative_error_is_the_per_point_loop_bit_for_bit(name, seed):
+    prior = PRIORS[name]
+    xs = sample_in_support(prior, 20, seed)
+    analytic = np.stack([prior.grad_log_prob(x) for x in xs])
+    numeric = gradcheck._finite_diff_batch(prior, xs, 1e-5)
+    assert (np.float64(max_relative_error(prior, xs)).tobytes()
+            == np.float64(worst_relative_error(analytic, numeric)).tobytes())
+
+
+def test_max_relative_error_reports_a_nan_gradient():
+    # The per-point loop's max() skipped a NaN error, so such a gradient passed.
+    prior = PRIORS["mvn"]
+    nan_grad = SimpleNamespace(log_prob_many=prior.log_prob_many,
+                               grad_log_prob=lambda x: np.full(D, np.nan))
+    assert np.isnan(max_relative_error(nan_grad, sample_in_support(prior, 3, 0)))
 
 
 @PROPERTY
