@@ -528,10 +528,10 @@ class BoxLimitModel(PosePrior):
         self.hi = np.asarray(self.hi, dtype=float)
         if self.lo.shape != self.hi.shape or self.lo.ndim != 1:
             raise ValueError("lo and hi must be vectors of equal length")
-        if np.any(self.lo >= self.hi):
+        if not np.all(self.lo < self.hi):
             raise ValueError("requires lo < hi in every dimension")
-        if not self.stiffness > 0.0:
-            raise ValueError("stiffness must be positive")
+        if not 0.0 < self.stiffness < math.inf:
+            raise ValueError("stiffness must be positive and finite")
 
     @property
     def dim(self) -> int:

@@ -123,11 +123,11 @@ def recover_pose(obs: Observation, prior, lam: float, max_iter: int = 500,
     ("grad_tol"), when no halving decreases the objective ("stalled") or
     when the budget runs out ("max_iter"); see `RecoveryResult`.
     """
-    if lam < 0.0:
-        raise ValueError("lam must be non-negative")
+    if not 0.0 <= lam < math.inf:
+        raise ValueError("lam must be finite and non-negative")
     if prior.dim != obs.dim:
         raise ValueError(f"prior dim {prior.dim} does not match observation dim {obs.dim}")
-    if max_iter < 1 or step <= 0.0 or tol <= 0.0:
+    if max_iter < 1 or not (0.0 < step < math.inf and 0.0 < tol < math.inf):
         raise ValueError("invalid optimizer configuration")
 
     inv_var = 1.0 / (obs.noise_sigma**2)

@@ -20,11 +20,12 @@ latent mean is an energy that is low for poses resembling the training
 set, with an exact gradient: the encoder pass back forms only its input
 gradient, which the closed-form VJP of the batched Rodrigues map in
 `rotations` pulls back to the pose. Weight gradients are formed only in
-training (`_backward`).
+training, by the pullback that `_forward` returns.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import asdict, dataclass, field
 
@@ -49,8 +50,9 @@ class MlpLayer:
     activation: str  # "tanh" | "identity"
 
     def __post_init__(self):
-        self.weight = np.asarray(self.weight, dtype=float)
-        self.bias = np.asarray(self.bias, dtype=float)
+        # C order, as a JSON load gives: the layout decides a row product's bits.
+        self.weight = np.ascontiguousarray(self.weight, dtype=float)
+        self.bias = np.ascontiguousarray(self.bias, dtype=float)
         if self.activation not in ("tanh", "identity"):
             raise ValueError(f"unknown activation {self.activation!r}")
         if self.weight.ndim != 2 or self.bias.shape != (self.weight.shape[0],):
@@ -73,11 +75,6 @@ class MlpParams:
     @property
     def out_dim(self) -> int:
         return self.layers[-1].weight.shape[0]
-
-    def copy(self) -> "MlpParams":
-        return MlpParams(
-            [MlpLayer(l.weight.copy(), l.bias.copy(), l.activation) for l in self.layers]
-        )
 
 
 def init_mlp(dims, rng: np.random.Generator) -> MlpParams:
@@ -192,14 +189,7 @@ class VaeModel:
     dim = pose_dim  # the pose dimension every serialized family reports
 
     def copy(self) -> "VaeModel":
-        return VaeModel(
-            input_dim=self.input_dim,
-            latent_dim=self.latent_dim,
-            encoder=self.encoder.copy(),
-            decoder=self.decoder.copy(),
-            loss_weights=self.loss_weights,
-            fit_meta=dict(self.fit_meta),
-        )
+        return copy.deepcopy(self)
 
     def to_params(self) -> dict:
         return {"input_dim": self.input_dim, "latent_dim": self.latent_dim,
@@ -250,8 +240,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be positive")
-        if self.learning_rate < 0.0:
-            raise ValueError("learning_rate must be non-negative")
+        if not 0.0 <= self.learning_rate < math.inf:
+            raise ValueError("learning_rate must be finite and non-negative")
         if self.optimizer not in ("sgd", "adam"):
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
 
@@ -362,9 +352,13 @@ def _reg_joint_vjp(a: np.ndarray):
 # Total loss and manual backprop, over a batch
 
 
-def _forward(model: VaeModel, x: np.ndarray, eps: np.ndarray) -> dict:
-    """Forward pass over rows x (B, input_dim) with noise eps (B, latent_dim);
-    state["terms"] is (B, 6): each sample's five loss terms and weighted total."""
+def _forward(model: VaeModel, x: np.ndarray, eps: np.ndarray):
+    """Forward pass over rows x (B, input_dim) with noise eps (B, latent_dim).
+
+    Returns (terms, backward). terms is (B, 6): each sample's five loss
+    terms and weighted total. backward() pulls the batch's summed total loss
+    back to the per-layer (dW, db): (encoder, decoder).
+    """
     enc_out, enc_cache = mlp_forward(model.encoder, x)
     mu = enc_out[:, : model.latent_dim]
     logvar_raw = enc_out[:, model.latent_dim :]
@@ -385,47 +379,35 @@ def _forward(model: VaeModel, x: np.ndarray, eps: np.ndarray) -> dict:
         w.w_kl * l_kl + w.w_rec * l_rec + w.w_orth * l_orth
         + w.w_det1 * l_det1 + w.w_reg * l_reg
     )
-    return {
-        "x": x, "enc_cache": enc_cache, "mu": mu, "logvar_raw": logvar_raw,
-        "logvar": logvar, "eps": eps, "dec_cache": dec_cache, "r_hat": r_hat,
-        "reg_grad": reg_grad,
-        "terms": np.stack([l_kl, l_rec, l_orth, l_det1, l_reg, l_total], axis=1),
-    }
 
+    def backward():
+        g_rhat = w.w_rec * 2.0 * (r_hat - x.reshape(r_hat.shape))
+        gram = np.einsum("...ab,...cb->...ac", r_hat, r_hat) - np.eye(3)
+        g_rhat += w.w_orth * 4.0 * np.einsum("...ab,...bc->...ac", gram, r_hat)
+        det_sign = np.sign(rotations.det3(r_hat) - 1.0)
+        g_rhat += (w.w_det1 * det_sign)[..., None, None] * rotations.det3_grad(r_hat)
+        g_rhat += w.w_reg * reg_grad
 
-def _backward(model: VaeModel, state: dict):
-    """Per-layer (dW, db) of the batch's summed total loss: (encoder, decoder)."""
-    w = model.loss_weights
-    r_hat = state["r_hat"]
-    mu = state["mu"]
-    logvar = state["logvar"]
+        dec_g_us, g_z = mlp_backward(model.decoder, dec_cache, g_rhat.reshape(len(mu), -1))
 
-    g_rhat = w.w_rec * 2.0 * (r_hat - state["x"].reshape(r_hat.shape))
-    gram = np.einsum("...ab,...cb->...ac", r_hat, r_hat) - np.eye(3)
-    g_rhat += w.w_orth * 4.0 * np.einsum("...ab,...bc->...ac", gram, r_hat)
-    det_sign = np.sign(rotations.det3(r_hat) - 1.0)
-    g_rhat += (w.w_det1 * det_sign)[..., None, None] * rotations.det3_grad(r_hat)
-    g_rhat += w.w_reg * state["reg_grad"]
+        g_mu = g_z + w.w_kl * mu
+        std_half = 0.5 * np.exp(logvar / 2.0)
+        g_logvar = g_z * std_half * eps + w.w_kl * 0.5 * (np.exp(logvar) - 1.0)
+        inside = np.abs(logvar_raw) < LOGVAR_CLAMP
+        g_logvar_raw = np.where(inside, g_logvar, 0.0)
+        enc_g_us, _ = mlp_backward(
+            model.encoder, enc_cache, np.concatenate([g_mu, g_logvar_raw], axis=1)
+        )
+        return _weight_grads(enc_cache, enc_g_us), _weight_grads(dec_cache, dec_g_us)
 
-    dec_g_us, g_z = mlp_backward(model.decoder, state["dec_cache"], g_rhat.reshape(len(mu), -1))
-
-    g_mu = g_z + w.w_kl * mu
-    std_half = 0.5 * np.exp(logvar / 2.0)
-    g_logvar = g_z * std_half * state["eps"] + w.w_kl * 0.5 * (np.exp(logvar) - 1.0)
-    inside = np.abs(state["logvar_raw"]) < LOGVAR_CLAMP
-    g_logvar_raw = np.where(inside, g_logvar, 0.0)
-    enc_g_us, _ = mlp_backward(
-        model.encoder, state["enc_cache"], np.concatenate([g_mu, g_logvar_raw], axis=1)
-    )
-    return (_weight_grads(state["enc_cache"], enc_g_us),
-            _weight_grads(state["dec_cache"], dec_g_us))
+    return np.stack([l_kl, l_rec, l_orth, l_det1, l_reg, l_total], axis=1), backward
 
 
 def total_loss(model: VaeModel, r, seed: int) -> VaeLossBreakdown:
     """Encode, reparameterize, decode; all five terms plus the weighted sum."""
     eps = np.random.default_rng(seed).standard_normal((1, model.latent_dim))
-    state = _forward(model, _flatten_rotations(r, model.input_dim)[None], eps)
-    return VaeLossBreakdown(*map(float, state["terms"][0]))
+    terms, _ = _forward(model, _flatten_rotations(r, model.input_dim)[None], eps)
+    return VaeLossBreakdown(*map(float, terms[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -433,33 +415,29 @@ def total_loss(model: VaeModel, r, seed: int) -> VaeLossBreakdown:
 
 
 class _Optimizer:
-    def __init__(self, cfg: TrainConfig, shapes):
-        self.cfg = cfg
-        if cfg.optimizer == "adam":
-            self.m = [(np.zeros(ws), np.zeros(bs)) for ws, bs in shapes]
-            self.v = [(np.zeros(ws), np.zeros(bs)) for ws, bs in shapes]
-            self.t = 0
+    """SGD or Adam, as cfg.optimizer says, on a flat list of arrays updated in place."""
 
-    def step(self, layers, grads):
+    def __init__(self, cfg: TrainConfig, params):
+        self.cfg = cfg
+        self.params = params
+        self.m = [np.zeros_like(p) for p in params]
+        self.v = [np.zeros_like(p) for p in params]
+        self.t = 0
+
+    def step(self, grads):
         lr = self.cfg.learning_rate
         if self.cfg.optimizer == "sgd":
-            for layer, (dw, db) in zip(layers, grads):
-                layer.weight -= lr * dw
-                layer.bias -= lr * db
+            for p, g in zip(self.params, grads):
+                p -= lr * g
             return
         self.t += 1
         b1, b2, eps = 0.9, 0.999, 1e-8
         corr1 = 1.0 - b1**self.t
         corr2 = 1.0 - b2**self.t
-        for k, (layer, (dw, db)) in enumerate(zip(layers, grads)):
-            mw, mb = self.m[k]
-            vw, vb = self.v[k]
-            mw[:] = b1 * mw + (1 - b1) * dw
-            mb[:] = b1 * mb + (1 - b1) * db
-            vw[:] = b2 * vw + (1 - b2) * dw**2
-            vb[:] = b2 * vb + (1 - b2) * db**2
-            layer.weight -= lr * (mw / corr1) / (np.sqrt(vw / corr2) + eps)
-            layer.bias -= lr * (mb / corr1) / (np.sqrt(vb / corr2) + eps)
+        for p, g, m, v in zip(self.params, grads, self.m, self.v):
+            m[:] = b1 * m + (1 - b1) * g
+            v[:] = b2 * v + (1 - b2) * g**2
+            p -= lr * (m / corr1) / (np.sqrt(v / corr2) + eps)
 
 
 def train(model: VaeModel, data, cfg: TrainConfig):
@@ -483,8 +461,8 @@ def train(model: VaeModel, data, cfg: TrainConfig):
 
     trained = model.copy()
     rng = np.random.default_rng(cfg.seed)
-    all_layers = trained.encoder.layers + trained.decoder.layers
-    opt = _Optimizer(cfg, [(l.weight.shape, l.bias.shape) for l in all_layers])
+    opt = _Optimizer(cfg, [a for layer in trained.encoder.layers + trained.decoder.layers
+                           for a in (layer.weight, layer.bias)])
 
     trace = []
     for _ in range(cfg.epochs):
@@ -493,11 +471,11 @@ def train(model: VaeModel, data, cfg: TrainConfig):
         for start in range(0, n, cfg.batch_size):
             batch = perm[start : start + cfg.batch_size]
             eps = rng.standard_normal((batch.size, trained.latent_dim))
-            state = _forward(trained, rows[batch], eps)
-            enc_grads, dec_grads = _backward(trained, state)
-            sums += state["terms"].sum(axis=0)
+            terms, backward = _forward(trained, rows[batch], eps)
+            enc_grads, dec_grads = backward()
+            sums += terms.sum(axis=0)
             scale = 1.0 / batch.size
-            opt.step(all_layers, [(dw * scale, db * scale) for dw, db in enc_grads + dec_grads])
+            opt.step([g * scale for pair in enc_grads + dec_grads for g in pair])
         means = sums / n
         trace.append(VaeLossBreakdown(*means))
     trained.fit_meta.update(

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 
+from posepriors.vae import TrainConfig
+
 
 def finite_diff_gradient(f, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
     """Central differences, one coordinate at a time."""
@@ -70,3 +72,36 @@ def worst_relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
         denom = max(1.0, float(np.max(np.abs(ga))), float(np.max(np.abs(gn))))
         worst = max(worst, float(np.max(np.abs(ga - gn))) / denom)
     return worst
+
+
+# The optimizer vae.train ran before it took one flat parameter list: one
+# (weight, bias) pair per layer, each updated by its own statement.
+# train's parameters must keep its bits.
+class Optimizer:
+    def __init__(self, cfg: TrainConfig, shapes):
+        self.cfg = cfg
+        if cfg.optimizer == "adam":
+            self.m = [(np.zeros(ws), np.zeros(bs)) for ws, bs in shapes]
+            self.v = [(np.zeros(ws), np.zeros(bs)) for ws, bs in shapes]
+            self.t = 0
+
+    def step(self, layers, grads):
+        lr = self.cfg.learning_rate
+        if self.cfg.optimizer == "sgd":
+            for layer, (dw, db) in zip(layers, grads):
+                layer.weight -= lr * dw
+                layer.bias -= lr * db
+            return
+        self.t += 1
+        b1, b2, eps = 0.9, 0.999, 1e-8
+        corr1 = 1.0 - b1**self.t
+        corr2 = 1.0 - b2**self.t
+        for k, (layer, (dw, db)) in enumerate(zip(layers, grads)):
+            mw, mb = self.m[k]
+            vw, vb = self.v[k]
+            mw[:] = b1 * mw + (1 - b1) * dw
+            mb[:] = b1 * mb + (1 - b1) * db
+            vw[:] = b2 * vw + (1 - b2) * dw**2
+            vb[:] = b2 * vb + (1 - b2) * db**2
+            layer.weight -= lr * (mw / corr1) / (np.sqrt(vw / corr2) + eps)
+            layer.bias -= lr * (mb / corr1) / (np.sqrt(vb / corr2) + eps)

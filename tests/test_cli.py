@@ -456,3 +456,63 @@ def test_zero_hidden_width_is_usage_error(workdir, capsys):
 def test_bad_list_flag_is_usage_error_before_data_is_read(workdir, capsys, argv, message):
     assert main(argv + ["--data", str(workdir / "nope.csv")]) == 1
     assert capsys.readouterr().err == f"usage error: {message}\n"
+
+
+NON_FINITE_FLAGS = [
+    (["recover", "--lambda", "nan"], "lam must be finite and non-negative"),
+    (["recover", "--lambda", "inf"], "lam must be finite and non-negative"),
+    (["recover", "--step", "nan"], "invalid optimizer configuration"),
+    (["recover", "--tol", "nan"], "invalid optimizer configuration"),
+    (["recover", "--tol", "inf"], "invalid optimizer configuration"),
+    (["fit", "--model", "box", "--margin", "nan"], "requires lo < hi in every dimension"),
+    (["fit", "--model", "box", "--stiffness", "inf"], "stiffness must be positive and finite"),
+    (["fit", "--model", "box", "--stiffness", "nan"], "stiffness must be positive and finite"),
+    (["train-vae", "--lr", "nan"], "learning_rate must be finite and non-negative"),
+    (["train-vae", "--lr", "inf"], "learning_rate must be finite and non-negative"),
+]
+
+
+@pytest.mark.parametrize("argv,message", NON_FINITE_FLAGS,
+                         ids=[f"{argv[0]}{argv[-2]}={argv[-1]}" for argv, _ in NON_FINITE_FLAGS])
+def test_non_finite_scalar_flag_is_data_error(workdir, capsys, argv, message):
+    """NaN fails every `x < 0`-style check, so each check is written to fail on it."""
+    data = str(workdir / "d.csv")
+    model_path = workdir / "m.json"
+    assert main(["fit", "--model", "mvn", "--data", data, "--out", str(model_path)]) == 0
+    obs_path = workdir / "obs.json"
+    obs_path.write_text(json.dumps({"values": [0.5, -0.9, 0.0, 0.2, 0.1, -0.3],
+                                    "noise_sigma": 0.3}))
+    inputs = {"recover": ["--obs", str(obs_path), "--model", str(model_path)],
+              "fit": ["--data", data], "train-vae": ["--data", data, "--epochs", "1",
+                                                     "--latent", "2", "--hidden", "4"]}
+    assert main(argv[:1] + inputs[argv[0]] + argv[1:]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"data error: {message}\n"
+
+
+def test_recover_out_of_every_support_is_numerical_failure(workdir, capsys):
+    """An observation outside the gamma support on every, all observed, dim: exit 3."""
+    model_path = workdir / "gamma.json"
+    assert main(["fit", "--model", "gamma", "--data", str(workdir / "d.csv"),
+                 "--out", str(model_path)]) == 0
+    params = read_json(model_path)["params"]
+    obs_path = workdir / "obs.json"
+    values = [shift - sign for shift, sign in zip(params["shift"], params["sign"])]
+    obs_path.write_text(json.dumps({"values": values, "noise_sigma": 0.3}))
+    assert main(["recover", "--obs", str(obs_path), "--model", str(model_path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "numerical failure: prior assigns zero probability at every initialization\n")
+
+
+def test_train_vae_needs_three_columns_per_joint(tmp_path, capsys):
+    data = tmp_path / "two.csv"
+    posedata.save_pose_csv(posedata.PoseDataset(
+        dim=2, column_names=posedata.default_column_names(2),
+        samples=np.arange(20.0).reshape(10, 2) / 10.0), data)
+    assert main(["train-vae", "--data", str(data), "--epochs", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "data error: train-vae needs a dataset with 3 columns per joint\n"

@@ -71,6 +71,35 @@ class TestFitGmmEm:
             float(np.sum(gmm.log_prob_many(x))), rel=1e-12
         )
 
+    def test_collapsed_component_is_reseeded_onto_the_data(self, monkeypatch):
+        # One k-means++ seed moved 1e3 away from both clusters takes no
+        # responsibility mass; EM must re-seed it at the worst-fit point.
+        seeds_of = priors._kmeanspp_seeds
+
+        def far_seed(x, k, rng):
+            seeds = seeds_of(x, k, rng)
+            seeds[1] += 1e3
+            return seeds
+
+        monkeypatch.setattr(priors, "_kmeanspp_seeds", far_seed)
+        x = two_cluster_data(n_per=100, seed=11)
+        gmm = fit_gmm_em(x, 2, seed=4)
+        assert gmm.fit_meta["converged"]
+        order = np.argsort(gmm.means[:, 0])
+        np.testing.assert_allclose(gmm.means[order], [[-5.0, 0.0], [5.0, 0.0]], atol=0.3)
+        np.testing.assert_allclose(gmm.weights, [0.5, 0.5], atol=0.02)
+
+    def test_kmeanspp_on_identical_rows_draws_uniformly(self):
+        # Every squared distance is 0, so each later seed is a uniform index draw.
+        x = np.tile([0.5, -1.0, 2.0], (6, 1))
+        rng = np.random.default_rng(9)
+        seeds = priors._kmeanspp_seeds(x, 4, rng)
+        assert seeds.shape == (4, 3) and np.all(seeds == x[0])
+        twin = np.random.default_rng(9)
+        for _ in range(4):
+            twin.integers(6)
+        assert rng.integers(2**62) == twin.integers(2**62)
+
     def test_deterministic_per_seed(self):
         x = two_cluster_data(n_per=300)
         a = fit_gmm_em(x, 2, seed=11)

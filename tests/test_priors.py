@@ -273,6 +273,22 @@ class TestBoxLimit:
         with pytest.raises(ValueError):
             BoxLimitModel(lo=[1.0], hi=[1.0])
 
+    def test_one_sided_infinite_limits_load(self):
+        model = BoxLimitModel(lo=[-np.inf, 0.0], hi=[0.5, np.inf])
+        assert model.log_prob([-1e300, 1e300]) == 0.0
+        assert model.log_prob([1.5, -1.0]) == -2.0
+
+    @pytest.mark.parametrize("lo,hi", [([np.nan], [1.0]), ([0.0], [np.nan]),
+                                       ([0.0, np.nan], [1.0, 1.0])])
+    def test_nan_limit_rejected(self, lo, hi):
+        with pytest.raises(ValueError, match="requires lo < hi in every dimension"):
+            BoxLimitModel(lo=lo, hi=hi)
+
+    @pytest.mark.parametrize("stiffness", [0.0, -1.0, np.nan, np.inf])
+    def test_stiffness_must_be_positive_and_finite(self, stiffness):
+        with pytest.raises(ValueError, match="stiffness must be positive and finite"):
+            BoxLimitModel(lo=[0.0], hi=[1.0], stiffness=stiffness)
+
     def test_from_data(self):
         rng = np.random.default_rng(91)
         x = rng.uniform(-1.0, 2.0, (100, 3))

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -164,6 +166,51 @@ class TestRecoverPose:
         obs = Observation(values=np.array([-3.0]), noise_sigma=0.5)
         with pytest.raises(NumericalError):
             recover_pose(obs, prior, lam=1.0)
+
+    class ModeOutsideSupport(PosePrior):
+        """Zero probability for x[1] <= 0, with its mode at 0 and a chosen mean."""
+
+        dim = 2
+
+        def __init__(self, mean):
+            self.mean = np.array(mean, dtype=float)
+
+        def _log_prob_rows(self, xs):
+            with np.errstate(divide="ignore"):
+                return np.where(xs[:, 1] > 0.0, np.log(np.maximum(xs[:, 1], 0.0)) - xs[:, 1],
+                                -np.inf)
+
+        def _grad(self, x):
+            return np.array([0.0, 1.0 / x[1] - 1.0])
+
+        def mean_vector(self):
+            return self.mean.copy()
+
+    def test_restarts_free_dims_from_mean_when_mode_scores_zero(self):
+        obs = Observation(values=np.array([0.3, 5.0]), noise_sigma=0.5,
+                          mask=np.array([True, False]))
+        result = recover_pose(obs, self.ModeOutsideSupport([0.0, 2.0]), lam=1.0)
+        # The mode (0, 0) scores -inf; the start is the observation with x[1] = 2.
+        assert result.objective_trace[0] == -(math.log(2.0) - 2.0)
+        assert result.stop_reason == "grad_tol"
+        assert abs(result.estimate[1] - 1.0) < 1e-6
+
+    def test_mean_also_scoring_zero_raises(self):
+        obs = Observation(values=np.array([0.3, 5.0]), noise_sigma=0.5,
+                          mask=np.array([True, False]))
+        prior = self.ModeOutsideSupport([0.0, -1.0])
+        with pytest.raises(NumericalError,
+                           match="prior assigns zero probability at every initialization"):
+            recover_pose(obs, prior, lam=1.0)
+
+    @pytest.mark.parametrize("kwargs", [dict(lam=math.nan), dict(lam=math.inf),
+                                        dict(lam=1.0, step=math.nan), dict(lam=1.0, step=math.inf),
+                                        dict(lam=1.0, tol=math.nan), dict(lam=1.0, tol=math.inf)],
+                             ids=["lam-nan", "lam-inf", "step-nan", "step-inf", "tol-nan", "tol-inf"])
+    def test_non_finite_settings_rejected(self, kwargs):
+        obs = Observation(values=np.zeros(2), noise_sigma=0.5)
+        with pytest.raises(ValueError):
+            recover_pose(obs, BoxLimitModel(lo=[-1.0, -1.0], hi=[1.0, 1.0]), **kwargs)
 
     def test_dimension_mismatch(self):
         rng = np.random.default_rng(8)

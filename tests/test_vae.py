@@ -1,11 +1,12 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from posepriors import posedata, rotations, vae
+from posepriors import modelio, posedata, rotations, vae
 from posepriors.errors import DataError
 from posepriors.posedata import PoseDataset, axis_angle_to_matrices, default_column_names
 from posepriors.vae import (
@@ -26,6 +27,7 @@ from posepriors.vae import (
     vae_prior_energy,
 )
 
+import oracles
 from oracles import reg_loss
 
 
@@ -274,7 +276,7 @@ class TestTotalLoss:
 def param_grads(model, r, seed):
     """Per-layer (dW, db) of total_loss's weighted total, for its noise: (encoder, decoder)."""
     eps = np.random.default_rng(seed).standard_normal((1, model.latent_dim))
-    return vae._backward(model, vae._forward(model, r.reshape(1, -1), eps))
+    return vae._forward(model, r.reshape(1, -1), eps)[1]()
 
 
 def _fd_param_sweep(model, r, seed, h=1e-4):
@@ -396,12 +398,113 @@ class TestTrain:
             train(tiny_model(), data,
                   TrainConfig(epochs=1, batch_size=50, learning_rate=1e-3))
 
+    @pytest.mark.parametrize("lr", [-1e-3, math.nan, math.inf])
+    def test_learning_rate_must_be_finite_and_non_negative(self, lr):
+        with pytest.raises(ValueError, match="learning_rate must be finite and non-negative"):
+            TrainConfig(epochs=1, batch_size=1, learning_rate=lr)
+
     def test_sample_shape_messages(self):
         cfg = TrainConfig(epochs=1, batch_size=1, learning_rate=1e-3)
         with pytest.raises(ValueError, match="does not match model pose dim 6"):
             train(tiny_model(), np.zeros((4, 9)), cfg)
         with pytest.raises(ValueError, match="expected a 2-D sample array or a PoseDataset"):
             train(tiny_model(), np.zeros(6), cfg)
+
+
+def model_json(model):
+    return modelio.canonical_dumps(modelio.model_to_doc(model))
+
+
+def layer_arrays(model):
+    """The model's parameter arrays in train's order: W0, b0, W1, b1, ..."""
+    return [a for layer in model.encoder.layers + model.decoder.layers
+            for a in (layer.weight, layer.bias)]
+
+
+class PairOracleOptimizer:
+    """The (weight, bias)-pair oracle behind vae._Optimizer's flat interface."""
+
+    def __init__(self, cfg, params):
+        self.layers = [SimpleNamespace(weight=w, bias=b) for w, b in zip(params[::2], params[1::2])]
+        self.oracle = oracles.Optimizer(cfg, [(l.weight.shape, l.bias.shape) for l in self.layers])
+
+    def step(self, grads):
+        self.oracle.step(self.layers, list(zip(grads[::2], grads[1::2])))
+
+
+@pytest.mark.parametrize("optimizer", ["sgd", "adam"])
+class TestOptimizerBitsAgainstPairOracle:
+    def test_steps_match_the_oracle_bit_for_bit(self, optimizer):
+        cfg = TrainConfig(epochs=1, batch_size=1, learning_rate=1e-2, optimizer=optimizer)
+        model = tiny_model(hidden=(8, 8), seed=4)
+        ours, theirs = model.copy(), model.copy()
+        opt = vae._Optimizer(cfg, layer_arrays(ours))
+        oracle = PairOracleOptimizer(cfg, layer_arrays(theirs))
+        rng = np.random.default_rng(21)
+        for _ in range(4):
+            # Gradients of mixed magnitude, so no moment is a rescaled copy of another.
+            grads = [rng.standard_normal(a.shape) * 10.0 ** rng.uniform(-3.0, 1.0, a.shape)
+                     for a in layer_arrays(model)]
+            opt.step(grads)
+            oracle.step(grads)
+        for a, b in zip(layer_arrays(ours), layer_arrays(theirs)):
+            assert a.tobytes() == b.tobytes()
+        assert any(a.tobytes() != b.tobytes()
+                   for a, b in zip(layer_arrays(ours), layer_arrays(model)))
+
+    def test_train_matches_a_run_on_the_oracle(self, optimizer, monkeypatch):
+        data = make_dataset(n=23)
+        model = tiny_model(hidden=(8, 6), seed=6)
+        cfg = TrainConfig(epochs=2, batch_size=7, learning_rate=1e-3, seed=3,
+                          optimizer=optimizer)
+        trained, trace = train(model, data, cfg)
+        monkeypatch.setattr(vae, "_Optimizer", PairOracleOptimizer)
+        pinned, pinned_trace = train(model, data, cfg)
+        assert model_json(trained) == model_json(pinned)
+        assert trace == pinned_trace
+
+    def test_train_leaves_its_model_unchanged(self, optimizer):
+        model = tiny_model(seed=8)
+        model.fit_meta["note"] = [1, 2]
+        before = [a.copy() for a in layer_arrays(model)]
+        doc = model_json(model)
+        cfg = TrainConfig(epochs=2, batch_size=5, learning_rate=1e-2, seed=2,
+                          optimizer=optimizer)
+        trained, _ = train(model, make_dataset(n=10), cfg)
+        assert model_json(model) == doc
+        assert model.fit_meta == {"note": [1, 2]}
+        for a, b in zip(layer_arrays(model), before):
+            assert a.tobytes() == b.tobytes()
+        assert model_json(trained) != doc
+
+
+def test_copy_shares_no_state_with_its_source():
+    model = tiny_model(weights=LossWeights(1.0, 0.7, 2.0, 0.5, 1.3))
+    model.fit_meta.update(seed=3, loglik_trace=[1.0, 2.0])
+    dup = model.copy()
+    assert model_json(dup) == model_json(model)
+    assert dup.loss_weights == model.loss_weights and dup.loss_weights is not model.loss_weights
+    assert dup.fit_meta == model.fit_meta and dup.fit_meta is not model.fit_meta
+    assert dup.fit_meta["loglik_trace"] is not model.fit_meta["loglik_trace"]
+    for a in layer_arrays(model):
+        assert not any(np.shares_memory(a, b) for b in layer_arrays(dup))
+
+
+def test_fortran_ordered_weights_keep_the_bits_of_their_json_round_trip():
+    model = tiny_model(hidden=(8, 6), seed=9)
+    doc = modelio.model_to_doc(model)
+    fortran = vae.VaeModel(
+        model.input_dim, model.latent_dim,
+        *[vae.MlpParams([vae.MlpLayer(np.asfortranarray(l.weight), l.bias, l.activation)
+                         for l in mlp.layers]) for mlp in (model.encoder, model.decoder)])
+    assert all(a.flags.c_contiguous for a in layer_arrays(fortran))
+    loaded = modelio.model_from_doc(doc)
+    pose = np.random.default_rng(2).normal(0.0, 0.6, 6)
+    assert (vae_prior_energy(fortran, pose)[1].tobytes()
+            == vae_prior_energy(loaded, pose)[1].tobytes())
+    cfg = TrainConfig(epochs=2, batch_size=4, learning_rate=1e-2, seed=1)
+    assert (model_json(train(fortran, make_dataset(n=9), cfg)[0])
+            == model_json(train(loaded, make_dataset(n=9), cfg)[0]))
 
 
 class TestPriorEnergy:
@@ -517,9 +620,9 @@ class TestBatchMatchesPerSample:
     @given(b=st.integers(1, 6), j=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
     def test_loss_terms_and_gradients(self, b, j, seed):
         model, rots, seeds, eps = _batch_problem(b, j, seed)
-        state = vae._forward(model, rots.reshape(b, -1), eps)
-        enc, dec = vae._backward(model, state)
-        for row, r, s in zip(state["terms"], rots, seeds):
+        terms, backward = vae._forward(model, rots.reshape(b, -1), eps)
+        enc, dec = backward()
+        for row, r, s in zip(terms, rots, seeds):
             bd = total_loss(model, r, s)
             assert _close(row, [bd.l_kl, bd.l_rec, bd.l_orth, bd.l_det1, bd.l_reg, bd.l_total])
         singles = [param_grads(model, r, s) for r, s in zip(rots, seeds)]
@@ -542,7 +645,7 @@ class TestBatchMatchesPerSample:
         rows = rotations.exp(samples.reshape(n, j, 3)).reshape(n, -1)
         rng = np.random.default_rng(cfg.seed)
         for bd in trace:
-            terms = [vae._forward(model, rows[idx][None], rng.standard_normal(2)[None])["terms"][0]
+            terms = [vae._forward(model, rows[idx][None], rng.standard_normal(2)[None])[0][0]
                      for idx in rng.permutation(n)]
             assert _close([bd.l_kl, bd.l_rec, bd.l_orth, bd.l_det1, bd.l_reg, bd.l_total],
                           np.mean(terms, axis=0))
