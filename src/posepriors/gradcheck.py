@@ -27,7 +27,7 @@ def _finite_diff_batch(prior, xs: np.ndarray, h: float) -> np.ndarray:
 def max_relative_error(prior, points: np.ndarray, h: float = 1e-5) -> float:
     """Worst-case relative gradient error over the given in-support points."""
     points = np.asarray(points, dtype=float)
-    analytic = np.stack([prior.grad_log_prob(x) for x in points])
+    analytic = prior.grad_log_prob_many(points)
     numeric = _finite_diff_batch(prior, points, h)
     denom = np.maximum(1.0, np.maximum(np.abs(analytic).max(axis=1), np.abs(numeric).max(axis=1)))
     return float((np.abs(analytic - numeric).max(axis=1) / denom).max())

@@ -1,21 +1,18 @@
 """Closed-form pose prior families behind one contract.
 
 Every query enters through PosePrior: log_prob_many(xs) -> (n,) values
-for an (n, d) batch, log_prob(x) -> float and grad_log_prob(x) -> vector,
-everything in log space (a raw 66-dimensional Gaussian PDF underflows
-float64). PosePrior checks the input once; a family holds only the math,
-_log_prob_rows and _grad. log_prob is log_prob_many on one row, so the
-two agree bit for bit there. In a larger batch, gamma and box rows (row
-sums of elementwise terms) and VAE rows (stacks of one-row products,
-vae._rows_times) keep those bits; MVN and GMM rows, whitened by a GEMM,
-can differ in their last bits. A Gaussian model stacks its k factors'
-L_i^-1 into one (k, d, d) array once (k = 1 for the MVN). A batch takes
-one GEMM per component and 1024-row block; a point query takes its k
-products in one stacked call, the gemv or dot each component alone would
-make, so it keeps their bits. Families: soft box limits,
-multivariate normal, per-dimension gamma with sign/shift, Gaussian
-mixtures fit by EM, and a temporal mixture over (dt, dtheta) motion
-deltas.
+and grad_log_prob_many(xs) -> (n, d) gradients for an (n, d) batch, and
+log_prob(x) and grad_log_prob(x) at a point, everything in log space (a
+raw 66-dimensional Gaussian PDF underflows float64). PosePrior checks the
+input once; a family holds only the math, _log_prob_rows and _grad_rows
+on checked rows, and a point query is one row of them. Gaussian gradient
+rows and one-row values take their k products in one stacked call, the
+gemv or dot each component alone would make, so every gradient row has
+its point gradient's bits; a batch of values takes one GEMM per
+component and 1024-row block, so a row can differ from its one-row value
+in its last bits. Families: soft box limits, multivariate normal,
+per-dimension gamma with sign/shift, Gaussian mixtures fit by EM, and a
+temporal mixture over (dt, dtheta) motion deltas.
 """
 
 from __future__ import annotations
@@ -83,22 +80,28 @@ class PosePrior:
 
     They raise DataError on a batch that is not (n, dim) or a point that is
     not a finite (dim,) vector. Subclasses provide dim, _log_prob_rows(xs)
-    on a checked batch, _grad(x) at a checked point and support_points for
+    and _grad_rows(xs) on a checked (n, dim) batch, and support_points for
     grad checks; a family saved as JSON adds MODEL_TYPE, to_params and
     from_params.
     """
 
-    def log_prob_many(self, xs) -> np.ndarray:
+    def _check_batch(self, xs) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
         if xs.ndim != 2 or xs.shape[1] != self.dim:
             raise DataError(f"batch has shape {xs.shape}, expected (n, {self.dim})")
-        return self._log_prob_rows(xs)
+        return xs
+
+    def log_prob_many(self, xs) -> np.ndarray:
+        return self._log_prob_rows(self._check_batch(xs))
+
+    def grad_log_prob_many(self, xs) -> np.ndarray:
+        return self._grad_rows(self._check_batch(xs))
 
     def log_prob(self, x) -> float:
         return float(self.log_prob_many(_check_vec(x, self.dim)[None])[0])
 
     def grad_log_prob(self, x) -> np.ndarray:
-        return self._grad(_check_vec(x, self.dim))
+        return self._grad_rows(_check_vec(x, self.dim)[None])[0]
 
     def mode(self) -> np.ndarray:
         """Where pose recovery starts its unobserved dims; zeros by default."""
@@ -138,9 +141,9 @@ class MvnModel(PosePrior):
     def _log_prob_rows(self, xs: np.ndarray) -> np.ndarray:
         return _gaussian_log_joint(xs, self.mean[None], self._inv, self._log_det, 0.0)[:, 0]
 
-    def _grad(self, x: np.ndarray) -> np.ndarray:
-        w = self.chol.inverse @ (x - self.mean)
-        return -(w @ self.chol.inverse)
+    def _grad_rows(self, xs: np.ndarray) -> np.ndarray:
+        w = np.matmul(self._inv, (xs - self.mean)[:, :, None])  # one gemv per row
+        return -np.matmul(w.swapaxes(1, 2), self._inv)[:, 0]
 
     def support_points(self, count: int, rng: np.random.Generator, h: float) -> np.ndarray:
         eps = rng.standard_normal((count, self.dim))
@@ -232,8 +235,8 @@ class GammaModel(PosePrior):
             )
         return out
 
-    def _grad(self, x: np.ndarray) -> np.ndarray:
-        y = self.sign * (x - self.shift)
+    def _grad_rows(self, xs: np.ndarray) -> np.ndarray:
+        y = self.sign * (xs - self.shift)
         if np.any(y <= 0.0):
             raise ValueError("point is on or outside the gamma support boundary")
         return self.sign * ((self.alpha - 1.0) / y - self.beta)
@@ -333,20 +336,20 @@ class GmmModel(PosePrior):
         comp = _gaussian_log_joint(xs, self.means, self._inv, self._log_det, self._log_w)
         return _logsumexp(comp, axis=1)
 
-    def _whiten_components(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Responsibilities at x and the (k, d) whitened residuals L_i^-1 (x - mu_i)."""
-        w = np.matmul(self._inv, (x - self.means)[:, :, None])[:, :, 0]
-        maha = np.matmul(w[:, None], w[:, :, None])[:, 0, 0]
+    def _whiten_rows(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(n, k) responsibilities and (n, k, d) whitened residuals L_i^-1 (x - mu_i)."""
+        w = np.matmul(self._inv, (xs[:, None] - self.means)[..., None])[..., 0]
+        maha = np.matmul(w[..., None, :], w[..., None])[..., 0, 0]
         log_joint = self._log_w - 0.5 * (self.dim * LOG_2PI + self._log_det + maha)
-        return np.exp(log_joint - _logsumexp(log_joint, axis=0)), w
+        return np.exp(log_joint - _logsumexp(log_joint, axis=1)[:, None]), w
 
     def responsibilities(self, x) -> np.ndarray:
-        return self._whiten_components(_check_vec(x, self.dim))[0]
+        return self._whiten_rows(_check_vec(x, self.dim)[None])[0][0]
 
-    def _grad(self, x: np.ndarray) -> np.ndarray:
-        r, w = self._whiten_components(x)
-        # -sum_i r_i (w_i @ L_i^-1); the sum over axis 0 adds in component order.
-        return -(r[:, None] * np.matmul(w[:, None], self._inv)[:, 0]).sum(axis=0)
+    def _grad_rows(self, xs: np.ndarray) -> np.ndarray:
+        r, w = self._whiten_rows(xs)
+        # -sum_i r_i (w_i @ L_i^-1); the sum over axis 1 adds in component order.
+        return -(r[..., None] * np.matmul(w[..., None, :], self._inv)[..., 0, :]).sum(axis=1)
 
     def support_points(self, count: int, rng: np.random.Generator, h: float) -> np.ndarray:
         comps = rng.choice(self.n_components, size=count, p=self.weights)
@@ -404,8 +407,10 @@ def fit_gmm_em(data, k: int, seed: int = 0, reg: float = 1e-6, tol: float = 1e-8
         raise ValueError("k must be >= 1")
     if n < k:
         raise ValueError(f"need at least k={k} samples, got {n}")
-    if reg < 0.0:
+    if not reg >= 0.0:  # NaN fails this too
         raise ValueError("reg must be non-negative")
+    if not math.isfinite(tol):
+        raise ValueError("tol must be finite")
     if n < 2:
         raise ValueError("fit_gmm_em needs at least 2 samples")
 
@@ -544,8 +549,8 @@ class BoxLimitModel(PosePrior):
         over, under = self._violations(xs)
         return -self.stiffness * np.sum(over**2 + under**2, axis=1)
 
-    def _grad(self, x: np.ndarray) -> np.ndarray:
-        over, under = self._violations(x)
+    def _grad_rows(self, xs: np.ndarray) -> np.ndarray:
+        over, under = self._violations(xs)
         return -2.0 * self.stiffness * (over - under)
 
     def support_points(self, count: int, rng: np.random.Generator, h: float) -> np.ndarray:

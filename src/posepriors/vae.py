@@ -15,12 +15,9 @@ value per sample, and training computes each through them. Row products
 are stacks of one-row products and the weight gradient is an einsum, so
 no result depends on the BLAS thread count.
 
-The trained encoder doubles as a pose prior: the squared norm of the
-latent mean is an energy that is low for poses resembling the training
-set, with an exact gradient: the encoder pass back forms only its input
-gradient, which the closed-form VJP of the batched Rodrigues map in
-`rotations` pulls back to the pose. Weight gradients are formed only in
-training, by the pullback that `_forward` returns.
+The trained encoder doubles as a pose prior, `VaeEnergyPrior`. Weight
+gradients are formed only in training, by the pullback that `_forward`
+returns; the prior's gradient pass forms only the input gradient.
 """
 
 from __future__ import annotations
@@ -32,8 +29,9 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import rotations
+from .errors import NumericalError
 from .posedata import csv_text, samples_of, write_text
-from .priors import PosePrior, _check_vec
+from .priors import PosePrior
 from .rotations import project_to_rotations
 
 LOGVAR_CLAMP = 10.0
@@ -365,6 +363,8 @@ def _forward(model: VaeModel, x: np.ndarray, eps: np.ndarray):
     logvar = np.clip(logvar_raw, -LOGVAR_CLAMP, LOGVAR_CLAMP)
     z = mu + np.exp(logvar / 2.0) * eps
     y, dec_cache = mlp_forward(model.decoder, z)
+    if not np.all(np.isfinite(y)):  # a diverged training: polar's eigh cannot run on it
+        raise NumericalError("decoder output is not finite; training diverged")
     r_hat = y.reshape(len(x), model.n_joints, 3, 3)
 
     l_kl = kl_loss(mu, logvar)
@@ -501,33 +501,20 @@ def write_loss_trace(trace, path) -> None:
 
 
 def vae_prior_energy(model: VaeModel, p) -> tuple[float, np.ndarray]:
-    """Squared latent-mean norm of a pose, with its gradient.
-
-    The trained KL term pulls plausible poses toward latent mean zero, so
-    this energy is small on poses resembling the training set. Gradient is
-    chained through the encoder and the closed-form VJP of the Rodrigues
-    map. A pose that is not a finite (pose_dim,) vector raises DataError.
-    """
-    return _prior_energy(model, _check_vec(p, model.pose_dim))
-
-
-def _prior_energy(model: VaeModel, p: np.ndarray) -> tuple[float, np.ndarray]:
-    """vae_prior_energy at a pose already checked."""
-    w = p.reshape(-1, 3)
-    rot = rotations.exp(w)
-    out, cache = mlp_forward(model.encoder, rot.reshape(1, -1))
-    mu = out[:, : model.latent_dim]
-    g_out = np.concatenate([2.0 * mu, np.zeros_like(mu)], axis=1)
-    _, g_x = mlp_backward(model.encoder, cache, g_out)
-    return float(mu[0] @ mu[0]), rotations.exp_vjp(w, rot, g_x.reshape(rot.shape)).reshape(-1)
+    """Latent energy of a pose and its gradient: VaeEnergyPrior(model)'s
+    negated log_prob and grad_log_prob, with their DataError on a bad pose."""
+    prior = VaeEnergyPrior(model)
+    return -prior.log_prob(p), -prior.grad_log_prob(p)
 
 
 class VaeEnergyPrior(PosePrior):
     """Adapter holding a VaeModel to the PosePrior contract.
 
-    log_prob is the negated latent energy (an unnormalized log-density);
-    log_prob_many runs the rotation map and the encoder on all poses at
-    once, with each row's bits those of a one-pose call.
+    log_prob, an unnormalized log-density, is minus the squared latent-mean
+    norm: an energy the trained KL term keeps small on poses like the
+    training set. Both queries run the Rodrigues map and the encoder on all
+    rows at once, each row with the bits of a one-pose call; the gradient
+    pulls 2 mu back through the encoder and the closed-form Rodrigues VJP.
     """
 
     def __init__(self, model: VaeModel):
@@ -537,14 +524,22 @@ class VaeEnergyPrior(PosePrior):
     def dim(self) -> int:
         return self.model.pose_dim
 
-    def _log_prob_rows(self, xs: np.ndarray) -> np.ndarray:
-        rots = rotations.exp(xs.reshape(len(xs), self.model.n_joints, 3))
-        out = mlp_forward(self.model.encoder, rots.reshape(len(xs), -1))[0]
-        mu = out[:, : self.model.latent_dim]
-        return -(mu[:, None, :] @ mu[:, :, None])[:, 0, 0]  # per-row dots, as in vae_prior_energy
+    def _encode_rows(self, xs: np.ndarray):
+        """The (n * J, 3) joint axis-angles, their rotations, latent means and encoder cache."""
+        w = xs.reshape(-1, 3)
+        rots = rotations.exp(w)
+        out, cache = mlp_forward(self.model.encoder, rots.reshape(len(xs), -1))
+        return w, rots, out[:, : self.model.latent_dim], cache
 
-    def _grad(self, x: np.ndarray) -> np.ndarray:
-        return -_prior_energy(self.model, x)[1]
+    def _log_prob_rows(self, xs: np.ndarray) -> np.ndarray:
+        mu = self._encode_rows(xs)[2]
+        return -(mu[:, None, :] @ mu[:, :, None])[:, 0, 0]  # per-row dots
+
+    def _grad_rows(self, xs: np.ndarray) -> np.ndarray:
+        w, rots, mu, cache = self._encode_rows(xs)
+        g_out = np.concatenate([2.0 * mu, np.zeros_like(mu)], axis=1)
+        _, g_x = mlp_backward(self.model.encoder, cache, g_out)
+        return -rotations.exp_vjp(w, rots, g_x.reshape(rots.shape)).reshape(len(xs), -1)
 
     def support_points(self, count: int, rng: np.random.Generator, h: float) -> np.ndarray:
         # A clipped normal: no joint's rotation angle exceeds 2.5 rad.

@@ -467,6 +467,9 @@ NON_FINITE_FLAGS = [
     (["fit", "--model", "box", "--margin", "nan"], "requires lo < hi in every dimension"),
     (["fit", "--model", "box", "--stiffness", "inf"], "stiffness must be positive and finite"),
     (["fit", "--model", "box", "--stiffness", "nan"], "stiffness must be positive and finite"),
+    (["fit", "--model", "gmm", "--k", "2", "--tol", "nan"], "tol must be finite"),
+    (["fit", "--model", "gmm", "--k", "2", "--tol", "inf"], "tol must be finite"),
+    (["fit", "--model", "gmm", "--k", "2", "--reg", "nan"], "reg must be non-negative"),
     (["train-vae", "--lr", "nan"], "learning_rate must be finite and non-negative"),
     (["train-vae", "--lr", "inf"], "learning_rate must be finite and non-negative"),
 ]
@@ -505,6 +508,17 @@ def test_recover_out_of_every_support_is_numerical_failure(workdir, capsys):
     assert captured.out == ""
     assert captured.err == (
         "numerical failure: prior assigns zero probability at every initialization\n")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflows of the diverging steps
+def test_diverging_train_vae_is_numerical_failure(workdir, capsys):
+    """SGD at lr 1e6 drives the decoder output non-finite: exit 3, before polar's eigh runs."""
+    assert main(["train-vae", "--data", str(workdir / "d.csv"), "--optimizer", "sgd",
+                 "--lr", "1e6", "--epochs", "3", "--latent", "2", "--hidden", "8",
+                 "--batch", "8"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "numerical failure: decoder output is not finite; training diverged\n"
 
 
 def test_train_vae_needs_three_columns_per_joint(tmp_path, capsys):

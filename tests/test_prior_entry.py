@@ -9,7 +9,7 @@ from posepriors import modelio
 from posepriors.priors import PosePrior
 from posepriors.vae import VaeEnergyPrior
 
-QUERIES = ("log_prob_many", "log_prob", "grad_log_prob")
+QUERIES = ("log_prob_many", "grad_log_prob_many", "log_prob", "grad_log_prob")
 REPO = Path(__file__).resolve().parents[1]
 RECOVERY = REPO / "src" / "posepriors" / "recovery.py"
 # The prior calls a recovery makes are counted by wrappers that count only
@@ -27,6 +27,14 @@ def test_family_defines_no_query_method(cls):
 
 def test_base_class_defines_every_query():
     assert [name for name in QUERIES if name not in vars(PosePrior)] == []
+
+
+@pytest.mark.parametrize("cls", [PosePrior, *modelio.FAMILIES.values(), VaeEnergyPrior],
+                         ids=lambda cls: cls.__name__)
+def test_gradients_are_defined_over_rows_only(cls):
+    # A point gradient is one row of _grad_rows; a point-only _grad would be a second path.
+    assert not hasattr(cls, "_grad")
+    assert hasattr(cls, "_grad_rows") == (issubclass(cls, PosePrior) and cls is not PosePrior)
 
 
 def prior_probes(source: str) -> list[int]:

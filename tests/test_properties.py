@@ -85,7 +85,19 @@ def test_gradient_matches_central_differences(name, seed):
     assert worst <= GRAD_TOL.get(name, 1e-4)
 
 
-@pytest.mark.parametrize("name", ["box", "gamma", "gmm", "mvn"])
+@pytest.mark.parametrize("name", sorted(PRIORS))
+@PROPERTY
+@given(n=st.integers(1, 20), seed=seeds)
+def test_gradient_rows_are_point_gradients_bit_for_bit(name, n, seed):
+    prior = PRIORS[name]
+    xs = sample_in_support(prior, n, seed)
+    rows = prior.grad_log_prob_many(xs)
+    assert rows.shape == xs.shape
+    for x, row in zip(xs, rows):
+        assert row.tobytes() == prior.grad_log_prob(x).tobytes()
+
+
+@pytest.mark.parametrize("name", ["box", "gamma", "gmm", "mvn", "vae"])
 @PROPERTY
 @given(seed=seeds)
 def test_max_relative_error_is_the_per_point_loop_bit_for_bit(name, seed):
@@ -101,7 +113,7 @@ def test_max_relative_error_reports_a_nan_gradient():
     # The per-point loop's max() skipped a NaN error, so such a gradient passed.
     prior = PRIORS["mvn"]
     nan_grad = SimpleNamespace(log_prob_many=prior.log_prob_many,
-                               grad_log_prob=lambda x: np.full(D, np.nan))
+                               grad_log_prob_many=lambda xs: np.full(xs.shape, np.nan))
     assert np.isnan(max_relative_error(nan_grad, sample_in_support(prior, 3, 0)))
 
 
@@ -120,8 +132,9 @@ BAD_BATCHES = {"(n, 1)": lambda d: (3, 1), "(n, d + 1)": lambda d: (3, d + 1),
 @pytest.mark.parametrize("shape", sorted(BAD_BATCHES))
 def test_log_prob_many_rejects_a_batch_not_n_by_dim(name, shape):
     prior = PRIORS[name]
-    with pytest.raises(DataError, match="batch has shape"):
-        prior.log_prob_many(np.zeros(BAD_BATCHES[shape](prior.dim)))
+    for query in (prior.log_prob_many, prior.grad_log_prob_many):
+        with pytest.raises(DataError, match="batch has shape"):
+            query(np.zeros(BAD_BATCHES[shape](prior.dim)))
 
 
 @pytest.mark.parametrize("name", sorted(PRIORS))

@@ -152,8 +152,8 @@ class TestRecoverPose:
             def _log_prob_rows(self, xs):
                 return np.zeros(len(xs))
 
-            def _grad(self, x):
-                return np.zeros(self.dim)
+            def _grad_rows(self, xs):
+                return np.zeros(xs.shape)
 
         obs = Observation(values=np.array([0.5, -1.0, 2.0]), noise_sigma=0.1,
                           mask=np.array([True, False, False]))
@@ -180,8 +180,8 @@ class TestRecoverPose:
                 return np.where(xs[:, 1] > 0.0, np.log(np.maximum(xs[:, 1], 0.0)) - xs[:, 1],
                                 -np.inf)
 
-        def _grad(self, x):
-            return np.array([0.0, 1.0 / x[1] - 1.0])
+        def _grad_rows(self, xs):
+            return np.stack([np.zeros(len(xs)), 1.0 / xs[:, 1] - 1.0], axis=1)
 
         def mean_vector(self):
             return self.mean.copy()
