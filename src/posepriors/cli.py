@@ -9,6 +9,7 @@ path takes a --seed so runs are byte-reproducible.
 from __future__ import annotations
 
 import argparse
+import functools
 import re
 import sys
 
@@ -230,7 +231,11 @@ def _cmd_grad_check(args) -> int:
 # Parser
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The parser, built on first use and reused: building costs some 20 parses.
+    Parsing leaves it as it was; each command's function is bound here, and the
+    library functions it calls are looked up when it runs."""
     parser = _Parser(prog="posepriors", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -33,7 +33,7 @@ def _check_vec(x, dim: int) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape != (dim,):
         raise DataError(f"vector has shape {x.shape}, expected ({dim},)")
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise DataError("vector has non-finite entries")
     return x
 
@@ -70,8 +70,10 @@ def _gaussian_log_joint(xs: np.ndarray, means, inv, log_det, log_w) -> np.ndarra
 
 def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
     m = a.max(axis=axis, keepdims=True)
-    m = np.where(np.isfinite(m), m, 0.0)
-    with np.errstate(divide="ignore"):
+    if np.isfinite(m).all():  # every sum is then at least 1: no log(0)
+        return np.log(np.exp(a - m).sum(axis=axis)) + m.squeeze(axis=axis)
+    with np.errstate(divide="ignore"):  # a row of -inf sums to 0; log(0) is its -inf
+        m = np.where(np.isfinite(m), m, 0.0)
         return np.log(np.exp(a - m).sum(axis=axis)) + m.squeeze(axis=axis)
 
 
@@ -322,6 +324,7 @@ class GmmModel(PosePrior):
             self.weights = self.weights / total
         self._chols = [linalg.cholesky(c) for c in self.covs]
         self._inv, self._log_det = _stack_factors(self._chols)
+        self._log_norm = self.dim * LOG_2PI + self._log_det  # the sum _gaussian_log_joint forms
         self._log_w = np.log(self.weights)
 
     @property
@@ -340,7 +343,7 @@ class GmmModel(PosePrior):
         """(n, k) responsibilities and (n, k, d) whitened residuals L_i^-1 (x - mu_i)."""
         w = np.matmul(self._inv, (xs[:, None] - self.means)[..., None])[..., 0]
         maha = np.matmul(w[..., None, :], w[..., None])[..., 0, 0]
-        log_joint = self._log_w - 0.5 * (self.dim * LOG_2PI + self._log_det + maha)
+        log_joint = self._log_w - 0.5 * (self._log_norm + maha)
         return np.exp(log_joint - _logsumexp(log_joint, axis=1)[:, None]), w
 
     def responsibilities(self, x) -> np.ndarray:

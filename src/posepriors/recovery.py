@@ -118,7 +118,9 @@ def recover_pose(obs: Observation, prior, lam: float, max_iter: int = 500,
     direction), the search goes along the negated gradient starting at
     `step`. A curvature pair is kept only if s.y > 1e-12 |s| |y|. Every
     trial step is halved until the objective strictly decreases (at most 30
-    halvings), so the objective trace is non-increasing by construction.
+    halvings), so the objective trace is non-increasing by construction; a
+    trial point that overflows to a non-finite entry scores inf, as a point
+    of zero prior probability does.
     The run stops when the gradient infinity-norm drops below tol
     ("grad_tol"), when no halving decreases the objective ("stalled") or
     when the budget runs out ("max_iter"); see `RecoveryResult`.
@@ -134,6 +136,8 @@ def recover_pose(obs: Observation, prior, lam: float, max_iter: int = 500,
     mask = obs.mask
 
     def objective(x: np.ndarray) -> float:
+        if not np.isfinite(x).all():  # a trial step that overflowed
+            return float("inf")
         data = 0.5 * inv_var * float(np.sum((x[mask] - obs.values[mask]) ** 2))
         if lam == 0.0:
             return data

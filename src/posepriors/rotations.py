@@ -6,6 +6,8 @@ The coefficients A = sin t / t, B = (1 - cos t) / t^2 and
 C = (t - sin t) / t^3 switch to their Taylor series below _SERIES_ANGLE,
 where the closed forms divide zero by zero or lose digits to cancellation;
 the series are evaluated only when some angle in the stack is that small.
+_exp_forward returns them with the rotations, and exp_vjp takes them from
+there instead of evaluating them a second time.
 _cross takes the products np.cross takes, so it gives np.cross's bits
 without its dispatch cost, which dominates on one 22-joint pose.
 """
@@ -15,6 +17,8 @@ from __future__ import annotations
 import numpy as np
 
 _SERIES_ANGLE = 1e-3  # the series below are exact to 2e-22 relative here
+_EYE = np.eye(3)
+_EYE.flags.writeable = False
 
 
 def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -43,8 +47,8 @@ def _coefficients(theta: np.ndarray):
     return a, b, c
 
 
-def exp(w) -> np.ndarray:
-    """Rodrigues map R = I + A [w]x + B [w]x^2, with [w]x^2 = w w^T - t^2 I."""
+def _exp_forward(w):
+    """exp(w) and the (A, B, C) it was built from, each (..., 1, 1), for exp_vjp."""
     w = np.asarray(w, dtype=float)
     # Row i of [w]x is np.cross(e_i, w) up to the signs of its zeros, which R
     # cannot show: I + A [w]x adds +0 or 1 to them, and +0 + -0 = +0.
@@ -53,8 +57,14 @@ def exp(w) -> np.ndarray:
     skew = np.stack([zero, -w2, w1, w2, zero, -w0, -w1, w0, zero], axis=-1)
     skew = skew.reshape(w.shape + (3,))
     t2 = _dot(w, w)[..., None, None]
-    a, b, _ = _coefficients(np.sqrt(t2))
-    return np.eye(3) + a * skew + b * (w[..., :, None] * w[..., None, :] - t2 * np.eye(3))
+    coefficients = _coefficients(np.sqrt(t2))
+    a, b, _ = coefficients
+    return _EYE + a * skew + b * (w[..., :, None] * w[..., None, :] - t2 * _EYE), coefficients
+
+
+def exp(w) -> np.ndarray:
+    """Rodrigues map R = I + A [w]x + B [w]x^2, with [w]x^2 = w w^T - t^2 I."""
+    return _exp_forward(w)[0]
 
 
 def angle(r):
@@ -96,8 +106,9 @@ def log(r) -> np.ndarray:
     return w
 
 
-def exp_vjp(w, r, g) -> np.ndarray:
-    """Pull a gradient g on R = exp(w) back to w.
+def exp_vjp(w, r, coefficients, g) -> np.ndarray:
+    """Pull a gradient g on R = exp(w) back to w, given the (A, B, C) that
+    _exp_forward(w) returned with R.
 
     The derivative of the exponential map (Gallego & Yezzi, J. Math.
     Imaging Vis. 2015) gives g_w = (w (w.a) + (I - R)^T (a x w)) / t^2
@@ -107,7 +118,7 @@ def exp_vjp(w, r, g) -> np.ndarray:
     w = np.asarray(w, dtype=float)
     cols = _cross(np.swapaxes(r, -1, -2), np.swapaxes(g, -1, -2))
     a_vec = cols[..., 0, :] + cols[..., 1, :] + cols[..., 2, :]
-    a, b, c = _coefficients(np.sqrt(_dot(w, w))[..., None])
+    a, b, c = (k[..., 0] for k in coefficients)
     return a * a_vec - b * _cross(w, a_vec) + c * _dot(w, a_vec)[..., None] * w
 
 

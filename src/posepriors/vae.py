@@ -515,31 +515,57 @@ class VaeEnergyPrior(PosePrior):
     training set. Both queries run the Rodrigues map and the encoder on all
     rows at once, each row with the bits of a one-pose call; the gradient
     pulls 2 mu back through the encoder and the closed-form Rodrigues VJP.
+
+    A one-row query keeps its forward pass as one tuple, (the row's bytes,
+    the prior's own axis-angles, rotations, Rodrigues coefficients, latent
+    mean and encoder cache), in one attribute, so a concurrent query reads
+    a key and a state that belong together. The next one-row query with the
+    same bytes, such as the gradient pose fitting asks for at the point it
+    just valued, runs only the pullbacks. Batches of several rows neither
+    read nor replace it. The memo assumes the model stays as built: do not
+    change it in place, as the Gaussian families assume of their cached
+    L^-1.
     """
 
     def __init__(self, model: VaeModel):
         self.model = model
+        self._last = None  # (row bytes, forward pass) of the last one-row query
 
     @property
     def dim(self) -> int:
         return self.model.pose_dim
 
     def _encode_rows(self, xs: np.ndarray):
-        """The (n * J, 3) joint axis-angles, their rotations, latent means and encoder cache."""
+        """The (n * J, 3) joint axis-angles, their rotations and (A, B, C), latent means
+        and encoder cache."""
         w = xs.reshape(-1, 3)
-        rots = rotations.exp(w)
+        rots, coefficients = rotations._exp_forward(w)
         out, cache = mlp_forward(self.model.encoder, rots.reshape(len(xs), -1))
-        return w, rots, out[:, : self.model.latent_dim], cache
+        return w, rots, coefficients, out[:, : self.model.latent_dim], cache
+
+    def _encoded(self, xs: np.ndarray):
+        """_encode_rows(xs), taken from the last one-row query when xs is that row again."""
+        if len(xs) != 1:
+            return self._encode_rows(xs)
+        key = xs.tobytes()
+        last = self._last
+        if last is not None and last[0] == key:
+            return last[1]
+        # Axis-angles read from the key's bytes: no view of the caller's array is kept.
+        forward = self._encode_rows(np.frombuffer(key).reshape(xs.shape))
+        self._last = (key, forward)
+        return forward
 
     def _log_prob_rows(self, xs: np.ndarray) -> np.ndarray:
-        mu = self._encode_rows(xs)[2]
+        mu = self._encoded(xs)[3]
         return -(mu[:, None, :] @ mu[:, :, None])[:, 0, 0]  # per-row dots
 
     def _grad_rows(self, xs: np.ndarray) -> np.ndarray:
-        w, rots, mu, cache = self._encode_rows(xs)
+        w, rots, coefficients, mu, cache = self._encoded(xs)
         g_out = np.concatenate([2.0 * mu, np.zeros_like(mu)], axis=1)
         _, g_x = mlp_backward(self.model.encoder, cache, g_out)
-        return -rotations.exp_vjp(w, rots, g_x.reshape(rots.shape)).reshape(len(xs), -1)
+        g_w = rotations.exp_vjp(w, rots, coefficients, g_x.reshape(rots.shape))
+        return -g_w.reshape(len(xs), -1)
 
     def support_points(self, count: int, rng: np.random.Generator, h: float) -> np.ndarray:
         # A clipped normal: no joint's rotation angle exceeds 2.5 rad.

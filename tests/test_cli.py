@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from posepriors import modelio, posedata, vae
+from posepriors import cli, modelio, posedata, vae
 from posepriors.cli import main
 from posepriors.posedata import MotionSequence, save_sequence_csv
 
@@ -519,6 +519,62 @@ def test_diverging_train_vae_is_numerical_failure(workdir, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "numerical failure: decoder output is not finite; training diverged\n"
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflows of the huge steps
+def test_overflowing_step_stalls_like_a_huge_finite_one(workdir, capsys):
+    """At --step 1e308 the trial point x + t d overflows: it scores inf, as a
+    zero-probability point does, and the run stalls as it does at 1e200."""
+    model_path = workdir / "m.json"
+    assert main(["fit", "--model", "mvn", "--data", str(workdir / "d.csv"),
+                 "--out", str(model_path)]) == 0
+    obs_path = workdir / "obs.json"
+    obs_path.write_text(json.dumps({"values": [0.5, -0.9, 0.0, 0.2, 0.1, -0.3],
+                                    "noise_sigma": 0.3}))
+    outs = []
+    for step in ("1e308", "1e200"):
+        assert main(["recover", "--obs", str(obs_path), "--model", str(model_path),
+                     "--step", step]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        outs.append(captured.out)
+    report = json.loads(outs[0])
+    assert report["stop_reason"] == "stalled" and report["iterations_used"] == 1
+    assert outs[0] == outs[1]
+
+
+def test_reused_parser_answers_as_fresh_parsers_do(workdir, capsys):
+    """main builds its parser once; a usage error midway leaves nothing behind."""
+    data, model = str(workdir / "d.csv"), str(workdir / "m.json")
+    obs = workdir / "obs.json"
+    obs.write_text(json.dumps({"values": [0.5, -0.9, 0.0, 0.2, 0.1, -0.3], "noise_sigma": 0.3}))
+    argvs = [
+        ["fit", "--model", "gmm", "--data", data, "--k", "2", "--out", model],
+        ["eval", "--model", model, "--data", data],
+        ["fit", "--model", "gmm", "--data", data, "--k", "0"],
+        ["recover", "--obs", str(obs), "--model", model, "--max-iter", "3"],
+        ["grad-check", "--model", model, "--count", "4", "--seed", "2"],
+        ["analyze", "--data", data, "--bins", "3", "--count", "50"],
+        ["fit", "--model", "mvn", "--data", data],
+        ["eval", "--model", model, "--data", data, "--bogus"],
+        ["recover", "--obs", str(obs), "--model", model, "--max-iter", "3"],
+    ]
+
+    def run(fresh):
+        cli._build_parser.cache_clear()
+        results = []
+        for argv in argvs:
+            if fresh:
+                cli._build_parser.cache_clear()
+            code = main(argv)
+            captured = capsys.readouterr()
+            results.append((code, captured.out, captured.err))
+        return results
+
+    reused = run(fresh=False)
+    assert cli._build_parser.cache_info().misses == 1
+    assert [code for code, _, _ in reused] == [0, 0, 1, 0, 0, 0, 0, 1, 0]
+    assert reused == run(fresh=True)
 
 
 def test_train_vae_needs_three_columns_per_joint(tmp_path, capsys):

@@ -259,6 +259,15 @@ class TestBitsAgainstPerComponentOracle:
         comp = oracles.gaussian_log_joint(xs, gmm.means, chols, np.log(gmm.weights))
         assert _bits(gmm.log_prob_many(xs)) == _bits(oracles.logsumexp(comp, axis=1))
 
+    def test_logsumexp_of_a_row_of_minus_inf_is_minus_inf_without_warning(self):
+        # Warnings are errors here, so a log(0) warning would fail the test.
+        inf = math.inf
+        a = np.array([[-inf, -inf, -inf], [-1.0, -2.0, -700.0], [-inf, 0.5, -inf], [-800.0] * 3])
+        for rows in (a[:1], a[:2], a[1:]):
+            got = priors._logsumexp(rows, axis=1)
+            assert _bits(got) == _bits(oracles.logsumexp(rows, axis=1))
+        assert priors._logsumexp(a[:1], axis=1)[0] == -inf
+
     @pytest.mark.parametrize("d,k", MIXTURES)
     def test_point_queries(self, d, k):
         gmm, rng = _mixture(d, k)

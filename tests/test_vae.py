@@ -1,9 +1,10 @@
+import copy
 import math
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from posepriors import modelio, posedata, rotations, vae
@@ -566,6 +567,91 @@ class TestPriorEnergy:
         p = np.full(6, 1e-9)
         _, grad = vae_prior_energy(model, p)
         assert np.all(np.isfinite(grad))
+
+
+# Poses of a 2-joint model for the memo tests: signed zeros, the Taylor
+# branch (1e-5), ordinary and large angles, and two near-equal rows.
+_MEMO_POSES = [np.zeros(6), -np.zeros(6), np.array([0.0, -0.0, 0.0, -0.0, 0.0, 1e-9])]
+_MEMO_POSES += [s * np.random.default_rng(9).standard_normal(6) for s in (1e-5, 0.4, 1.0, 3.0)]
+_MEMO_POSES.append(np.nextafter(_MEMO_POSES[-1], math.inf))
+_pose = st.integers(0, len(_MEMO_POSES) - 1)
+_MEMO_OPS = st.lists(st.one_of(
+    st.tuples(st.sampled_from(["set", "log_prob", "grad_log_prob", "energy", "deepcopy"]), _pose),
+    st.tuples(st.sampled_from(["log_prob_many", "grad_log_prob_many"]),
+              st.lists(_pose, max_size=3)),
+), min_size=1, max_size=16)
+
+
+@settings(max_examples=120, derandomize=True, deadline=None, database=None)
+@given(_MEMO_OPS)
+# The caller's buffer changes after a value; the valued bytes then come back in another array.
+@example([("set", 3), ("log_prob", 0), ("set", 4), ("grad_log_prob_many", [3])])
+def test_point_memo_never_changes_a_bit(ops):
+    """Each query of one long-lived prior has the bits of the same query made on a
+    freshly built prior, whatever one-row or batch queries came before it."""
+    model = tiny_model()
+    prior = VaeEnergyPrior(model)
+    x = _MEMO_POSES[0].copy()  # the caller's buffer, changed in place by "set"
+
+    def fresh(query, xs):
+        return getattr(VaeEnergyPrior(model), query)(xs.copy())
+
+    for query, arg in ops:
+        if query == "set":
+            x[:] = _MEMO_POSES[arg]
+        elif query == "deepcopy":
+            prior = copy.deepcopy(prior)
+        elif query == "energy":
+            e, g = vae_prior_energy(model, x)
+            assert e == -fresh("log_prob", x)
+            assert g.tobytes() == (-fresh("grad_log_prob", x)).tobytes()
+        elif query.endswith("_many"):  # no rows stands for the caller's buffer as one row
+            xs = np.array([_MEMO_POSES[i] for i in arg]) if arg else x[None]
+            assert getattr(prior, query)(xs).tobytes() == fresh(query, xs).tobytes()
+        else:
+            got = getattr(prior, query)(x)
+            assert np.asarray(got).tobytes() == np.asarray(fresh(query, x)).tobytes()
+
+
+class TestPointMemoWork:
+    """A value and a gradient at one point share one Rodrigues and encoder forward."""
+
+    @pytest.fixture
+    def forwards(self, monkeypatch):
+        calls = []
+        forward = rotations._exp_forward
+
+        def counted(w):
+            calls.append(len(w))
+            return forward(w)
+
+        monkeypatch.setattr(rotations, "_exp_forward", counted)
+        return calls
+
+    def test_pair_at_one_point_runs_one_forward(self, forwards):
+        prior = VaeEnergyPrior(tiny_model())
+        x = random_pose(np.random.default_rng(3))
+        prior.log_prob(x)
+        prior.grad_log_prob(x)
+        assert forwards == [2]  # one forward over the 2 joints
+
+    def test_pair_at_two_points_runs_two_forwards(self, forwards):
+        prior = VaeEnergyPrior(tiny_model())
+        x, y = random_pose(np.random.default_rng(4)), random_pose(np.random.default_rng(5))
+        prior.log_prob(x)
+        prior.grad_log_prob(y)
+        assert forwards == [2, 2]
+
+    def test_batch_runs_one_forward_and_leaves_the_memo(self, forwards):
+        prior = VaeEnergyPrior(tiny_model())
+        rng = np.random.default_rng(6)
+        x = random_pose(rng)
+        prior.log_prob(x)
+        last = prior._last
+        prior.grad_log_prob_many(np.array([random_pose(rng) for _ in range(5)]))
+        assert forwards == [2, 10] and prior._last is last
+        prior.grad_log_prob(x)
+        assert forwards == [2, 10]
 
 
 AXIS = np.array([0.48, -0.6, 0.64])  # a unit vector
