@@ -9,6 +9,7 @@ path takes a --seed so runs are byte-reproducible.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import re
 import sys
@@ -151,10 +152,10 @@ def _cmd_analyze(args) -> int:
         "n_used": int(rows.shape[0]),
         "dims": dims if dims is not None else list(range(data.dim)),
         "eigenvalues": model.eigenvalues,
-        "normal_1d": {"mu": normal.mu, "sigma": normal.sigma},
+        "normal_1d": dataclasses.asdict(normal),
         "feasible_interval": [args.feasible_lo, args.feasible_hi],
         "infeasible_mass": mass,
-        "histogram": {"edges": hist.edges, "counts": hist.counts, "total": hist.total},
+        "histogram": dataclasses.asdict(hist),
     }
     if args.hist_out:
         rows = zip(hist.edges[:-1].tolist(), hist.edges[1:].tolist(), hist.counts.tolist())
@@ -205,15 +206,7 @@ def _cmd_recover(args) -> int:
     result = recovery.recover_pose(
         obs, prior, args.lam, max_iter=args.max_iter, step=args.step, tol=args.tol
     )
-    report = {
-        "estimate": result.estimate,
-        "objective_trace": result.objective_trace,
-        "iterations_used": result.iterations_used,
-        "converged": result.converged,
-        "stop_reason": result.stop_reason,
-        "grad_inf_norm": result.grad_inf_norm,
-    }
-    _emit(report, args.out)
+    _emit(dataclasses.asdict(result), args.out)
     return 0
 
 

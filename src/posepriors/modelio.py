@@ -78,4 +78,8 @@ def save_model(model, path) -> None:
 
 
 def load_model(path):
-    return model_from_doc(read_json(path))
+    doc = read_json(path)
+    try:
+        return model_from_doc(doc)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None

@@ -77,25 +77,16 @@ def fit_pca(data, dims=None) -> PcaModel:
 
 
 def reorient(model: PcaModel, points) -> np.ndarray:
-    """Map points into principal coordinates: U.T @ (p - mean) per point."""
+    """Map (n, d) points, or one (d,) point, into principal coordinates: U.T @ (p - mean)."""
     p = np.asarray(points, dtype=float)
-    single = p.ndim == 1
-    if single:
-        p = p[None, :]
-    if p.shape[1] != model.dim:
-        raise ValueError(f"points have dim {p.shape[1]}, model has {model.dim}")
-    out = (p - model.mean) @ model.basis
-    return out[0] if single else out
+    if p.shape[-1] != model.dim:
+        raise ValueError(f"points have dim {p.shape[-1]}, model has {model.dim}")
+    return (p - model.mean) @ model.basis
 
 
 def restore(model: PcaModel, coords) -> np.ndarray:
     """Inverse of reorient: U @ q + mean per point."""
-    q = np.asarray(coords, dtype=float)
-    single = q.ndim == 1
-    if single:
-        q = q[None, :]
-    out = q @ model.basis.T + model.mean
-    return out[0] if single else out
+    return np.asarray(coords, dtype=float) @ model.basis.T + model.mean
 
 
 def fit_normal_1d(samples) -> Normal1D:

@@ -83,9 +83,35 @@ class PosePrior:
     They raise DataError on a batch that is not (n, dim) or a point that is
     not a finite (dim,) vector. Subclasses provide dim, _log_prob_rows(xs)
     and _grad_rows(xs) on a checked (n, dim) batch, and support_points for
-    grad checks; a family saved as JSON adds MODEL_TYPE, to_params and
-    from_params.
+    grad checks. A family saved as JSON adds MODEL_TYPE and PARAMS: each
+    parameter's shape in size symbols, which to_params and from_params read.
     """
+
+    PARAMS: dict[str, tuple[str, ...]] = {}
+
+    def _convert_params(self, nan_ok: bool = False) -> None:
+        """Each PARAMS field as a float array of its shape, where a symbol's first
+        use fixes its size; another shape, or NaN unless nan_ok, is a ValueError."""
+        sizes: dict[str, int] = {}
+        for name, symbols in self.PARAMS.items():
+            value = np.asarray(getattr(self, name), dtype=float)
+            fits = value.ndim == len(symbols)
+            for symbol, size in zip(symbols, value.shape):
+                fits = fits and sizes.setdefault(symbol, size) == size
+            if not fits:
+                known = "".join(f", {s} = {sizes[s]}" for s in dict.fromkeys(symbols) if s in sizes)
+                raise ValueError(f"{name} has shape {value.shape}, "
+                                 f"expected ({', '.join(symbols)}){known}")
+            if not nan_ok and np.isnan(value).any():
+                raise ValueError(f"{name} has NaN entries")
+            setattr(self, name, value)
+
+    def to_params(self) -> dict:
+        return {name: getattr(self, name) for name in self.PARAMS}
+
+    @classmethod
+    def from_params(cls, params, meta) -> "PosePrior":
+        return cls(**{name: params[name] for name in cls.PARAMS}, fit_meta=dict(meta))
 
     def _check_batch(self, xs) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
@@ -127,6 +153,7 @@ class MvnModel(PosePrior):
     """Gaussian over pose vectors; covariance kept with its Cholesky factor."""
 
     MODEL_TYPE = "mvn"
+    PARAMS = {"mean": ("d",), "cov": ("d", "d")}
 
     mean: np.ndarray
     cov: np.ndarray
@@ -134,6 +161,7 @@ class MvnModel(PosePrior):
     fit_meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        self._convert_params()
         self._inv, self._log_det = _stack_factors([self.chol])
 
     @property
@@ -153,9 +181,6 @@ class MvnModel(PosePrior):
 
     def mode(self) -> np.ndarray:
         return self.mean.copy()
-
-    def to_params(self) -> dict:
-        return {"mean": self.mean, "cov": self.cov}
 
     @classmethod
     def from_params(cls, params, meta) -> "MvnModel":
@@ -200,6 +225,7 @@ class GammaModel(PosePrior):
     """
 
     MODEL_TYPE = "gamma"
+    PARAMS = {"alpha": ("d",), "beta": ("d",), "sign": ("d",), "shift": ("d",)}
 
     alpha: np.ndarray
     beta: np.ndarray
@@ -208,10 +234,7 @@ class GammaModel(PosePrior):
     fit_meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self.alpha = np.asarray(self.alpha, dtype=float)
-        self.beta = np.asarray(self.beta, dtype=float)
-        self.sign = np.asarray(self.sign, dtype=float)
-        self.shift = np.asarray(self.shift, dtype=float)
+        self._convert_params()
         if np.any(self.alpha <= 0.0) or np.any(self.beta <= 0.0):
             raise ValueError("gamma shape and rate must be positive")
         if not np.all(np.isin(self.sign, (-1.0, 1.0))):
@@ -261,11 +284,6 @@ class GammaModel(PosePrior):
         return {"alpha": self.alpha, "beta": self.beta,
                 "sign": [int(s) for s in self.sign], "shift": self.shift}
 
-    @classmethod
-    def from_params(cls, params, meta) -> "GammaModel":
-        return cls(alpha=params["alpha"], beta=params["beta"], sign=params["sign"],
-                   shift=params["shift"], fit_meta=dict(meta))
-
 
 def fit_gamma(data, margin: float = 1e-6) -> GammaModel:
     """Method-of-moments gamma fit with per-dimension sign and shift.
@@ -304,6 +322,7 @@ class GmmModel(PosePrior):
     """Mixture of full-covariance Gaussians; weights kept normalized."""
 
     MODEL_TYPE = "gmm"
+    PARAMS = {"weights": ("k",), "means": ("k", "d"), "covs": ("k", "d", "d")}
 
     weights: np.ndarray
     means: np.ndarray
@@ -311,9 +330,7 @@ class GmmModel(PosePrior):
     fit_meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=float)
-        self.means = np.asarray(self.means, dtype=float)
-        self.covs = np.asarray(self.covs, dtype=float)
+        self._convert_params()
         if np.any(self.weights <= 0.0):
             raise ValueError("mixture weights must be positive")
         total = self.weights.sum()
@@ -368,14 +385,6 @@ class GmmModel(PosePrior):
 
     def mean_vector(self) -> np.ndarray:
         return self.weights @ self.means
-
-    def to_params(self) -> dict:
-        return {"weights": self.weights, "means": self.means, "covs": self.covs}
-
-    @classmethod
-    def from_params(cls, params, meta) -> "GmmModel":
-        return cls(weights=params["weights"], means=params["means"], covs=params["covs"],
-                   fit_meta=dict(meta))
 
 
 def _kmeanspp_seeds(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -525,6 +534,7 @@ class BoxLimitModel(PosePrior):
     """
 
     MODEL_TYPE = "box"
+    PARAMS = {"lo": ("d",), "hi": ("d",), "stiffness": ()}
 
     lo: np.ndarray
     hi: np.ndarray
@@ -532,10 +542,8 @@ class BoxLimitModel(PosePrior):
     fit_meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self.lo = np.asarray(self.lo, dtype=float)
-        self.hi = np.asarray(self.hi, dtype=float)
-        if self.lo.shape != self.hi.shape or self.lo.ndim != 1:
-            raise ValueError("lo and hi must be vectors of equal length")
+        self._convert_params(nan_ok=True)  # the rules below fail on NaN
+        self.stiffness = float(self.stiffness)
         if not np.all(self.lo < self.hi):
             raise ValueError("requires lo < hi in every dimension")
         if not 0.0 < self.stiffness < math.inf:
@@ -559,20 +567,19 @@ class BoxLimitModel(PosePrior):
     def support_points(self, count: int, rng: np.random.Generator, h: float) -> np.ndarray:
         # Stay inside the limits: there both gradients are exactly zero.
         # Boundary-crossing gradients are exercised by dedicated tests with
-        # explicitly constructed points.
-        width = self.hi - self.lo
-        return rng.uniform(self.lo + 0.05 * width, self.hi - 0.05 * width, (count, self.dim))
+        # explicitly constructed points. An infinite limit is drawn as mode -+ 1.
+        mode = self.mode()
+        lo = np.where(np.isinf(self.lo), mode - 1.0, self.lo)
+        hi = np.where(np.isinf(self.hi), mode + 1.0, self.hi)
+        width = hi - lo
+        return rng.uniform(lo + 0.05 * width, hi - 0.05 * width, (count, self.dim))
 
     def mode(self) -> np.ndarray:
-        return (self.lo + self.hi) / 2.0
-
-    def to_params(self) -> dict:
-        return {"lo": self.lo, "hi": self.hi, "stiffness": self.stiffness}
-
-    @classmethod
-    def from_params(cls, params, meta) -> "BoxLimitModel":
-        return cls(lo=params["lo"], hi=params["hi"], stiffness=float(params["stiffness"]),
-                   fit_meta=dict(meta))
+        """The midpoint where both limits are finite, else 0 clipped into [lo, hi]."""
+        finite = np.isfinite(self.lo) & np.isfinite(self.hi)
+        mode = np.clip(np.zeros(self.dim), self.lo, self.hi)
+        mode[finite] = (self.lo[finite] + self.hi[finite]) / 2.0
+        return mode
 
 
 def box_from_data(data, stiffness: float = 1.0, margin: float = 0.0) -> BoxLimitModel:

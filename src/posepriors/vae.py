@@ -62,6 +62,8 @@ class MlpParams:
     layers: list
 
     def __post_init__(self):
+        if not self.layers:
+            raise ValueError("an MLP needs at least one layer")
         for prev, nxt in zip(self.layers, self.layers[1:]):
             if nxt.weight.shape[1] != prev.weight.shape[0]:
                 raise ValueError("adjacent layer dimensions do not chain")
@@ -131,10 +133,14 @@ def mlp_to_doc(mlp: MlpParams) -> list:
     ]
 
 
-def mlp_from_doc(doc) -> MlpParams:
-    return MlpParams(
-        [MlpLayer(weight=d["weight"], bias=d["bias"], activation=d["activation"]) for d in doc]
-    )
+def mlp_from_doc(doc, key: str) -> MlpParams:
+    """The MLP saved under `key`; a fault in it is a ValueError naming the key."""
+    try:
+        return MlpParams(
+            [MlpLayer(weight=d["weight"], bias=d["bias"], activation=d["activation"]) for d in doc]
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{key}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -197,8 +203,8 @@ class VaeModel:
     @classmethod
     def from_params(cls, params, meta) -> "VaeModel":
         return cls(input_dim=int(params["input_dim"]), latent_dim=int(params["latent_dim"]),
-                   encoder=mlp_from_doc(params["encoder"]),
-                   decoder=mlp_from_doc(params["decoder"]),
+                   encoder=mlp_from_doc(params["encoder"], "encoder"),
+                   decoder=mlp_from_doc(params["decoder"], "decoder"),
                    loss_weights=LossWeights(**params["loss_weights"]), fit_meta=dict(meta))
 
 

@@ -1,4 +1,6 @@
 import json
+import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +9,7 @@ import pytest
 from posepriors import cli, modelio, posedata, vae
 from posepriors.cli import main
 from posepriors.posedata import MotionSequence, save_sequence_csv
+from posepriors.priors import BoxLimitModel
 
 
 SPEC_DOC = {
@@ -586,3 +589,58 @@ def test_train_vae_needs_three_columns_per_joint(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "data error: train-vae needs a dataset with 3 columns per joint\n"
+
+
+# case -> (family, key, replaced params): each document is inconsistent in `key`.
+BAD_DOCUMENTS = {
+    "mvn-bool-mean": ("mvn", "mean", lambda p: {"mean": True}),
+    "gmm-three-covs": ("gmm", "covs", lambda p: {"covs": p["covs"] * 3}),
+    "vae-empty-decoder": ("vae", "decoder", lambda p: {"decoder": {}}),
+    "mvn-short-mean": ("mvn", "cov", lambda p: {"mean": p["mean"][:5]}),
+    "gamma-short-shift": ("gamma", "shift", lambda p: {"shift": p["shift"][:5]}),
+    "mvn-nan-mean": ("mvn", "mean", lambda p: {"mean": [math.nan, *p["mean"][1:]]}),
+    "gmm-nan-means": ("gmm", "means", lambda p: {"means": [[math.nan, *p["means"][0][1:]]]}),
+    "gamma-nan-alpha": ("gamma", "alpha", lambda p: {"alpha": [math.nan, *p["alpha"][1:]]}),
+}
+
+
+@pytest.mark.parametrize("case", BAD_DOCUMENTS)
+def test_inconsistent_model_document_fails_on_load_naming_file_and_key(workdir, capsys, case):
+    family, key, replaced = BAD_DOCUMENTS[case]
+    path = workdir / f"{family}.json"
+    data = ["--data", str(workdir / "d.csv")]
+    if family == "vae":
+        fit = ["train-vae", *data, "--epochs", "1", "--latent", "2", "--hidden", "4"]
+    else:
+        fit = ["fit", "--model", family, *data]
+    assert main([*fit, "--out", str(path)]) == 0
+    doc = read_json(path)
+    doc["params"].update(replaced(doc["params"]))
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["eval", "--model", str(path), *data]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.match(rf"data error: {re.escape(str(path))}: malformed '{family}' model document: "
+                    rf"{key}\b", captured.err), captured.err
+
+
+@pytest.mark.parametrize("limits", ["all-infinite", "one-sided"])
+def test_box_with_infinite_limits_grad_checks_and_recovers(workdir, capsys, limits):
+    path = workdir / "box.json"
+    if limits == "all-infinite":
+        assert main(["fit", "--model", "box", "--data", str(workdir / "d.csv"),
+                     "--margin", "inf", "--out", str(path)]) == 0
+    else:
+        inf = math.inf
+        modelio.save_model(BoxLimitModel(lo=[-inf, -1.0, 0.5, -inf, -2.0, -inf],
+                                         hi=[0.0, inf, inf, 1.0, 2.0, -3.0]), path)
+    assert main(["grad-check", "--model", str(path), "--count", "20"]) == 0
+    assert json.loads(capsys.readouterr().out)["max_relative_error"] == 0.0
+    obs = workdir / "obs.json"
+    obs.write_text(json.dumps({"values": [0.5, -0.9, 0.0, 0.2, 0.1, -0.3], "noise_sigma": 0.3,
+                               "mask": [True, False, False, True, True, False]}))
+    assert main(["recover", "--obs", str(obs), "--model", str(path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert json.loads(captured.out)["converged"]

@@ -11,6 +11,7 @@ from posepriors.priors import (
     GammaModel,
     GmmModel,
     TemporalGmmModel,
+    box_from_data,
     fit_gmm_em,
     fit_mvn,
     fit_temporal_gmm,
@@ -58,6 +59,16 @@ class TestRoundTrip:
         loaded = modelio.load_model(path)
         modelio.save_model(loaded, path)
         assert path.read_bytes() == first
+
+    def test_integer_stiffness_box_bytes_stable(self, tmp_path):
+        # The stiffness is stored as a float, so the first save already writes 1.0.
+        model = box_from_data(np.random.default_rng(3).normal(0.0, 1.0, (20, 2)), stiffness=1)
+        path = tmp_path / "box.json"
+        modelio.save_model(model, path)
+        first = path.read_bytes()
+        modelio.save_model(modelio.load_model(path), path)
+        assert path.read_bytes() == first
+        assert b'"stiffness": 1.0' in first
 
     def test_document_fields(self):
         doc = modelio.model_to_doc(all_models()["mvn"])

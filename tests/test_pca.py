@@ -64,6 +64,14 @@ class TestReorient:
         with pytest.raises(ValueError):
             reorient(model, np.ones(3))
 
+    @pytest.mark.parametrize("dim", [1, 2, 5, 66, 130])
+    def test_point_is_row_zero_of_its_one_row_batch(self, dim):
+        rng = np.random.default_rng(dim)
+        model = fit_pca(rng.normal(0.0, 1.0, (dim + 10, dim)))
+        for p in rng.normal(0.0, 2.0, (20, dim)):
+            for fn in (reorient, pca.restore):
+                assert fn(model, p).tobytes() == fn(model, p[None])[0].tobytes()
+
     def test_reoriented_training_data_moments(self):
         # Principal coordinates of the training data: zero mean, diagonal
         # covariance matching the eigenvalues.

@@ -25,6 +25,20 @@ def test_family_defines_no_query_method(cls):
     assert [name for name in QUERIES if name in vars(cls)] == []
 
 
+# A family writes or reads its own JSON only where that differs from its PARAMS fields.
+OWN_PARAMS_METHODS = {"GammaModel": {"to_params"}, "MvnModel": {"from_params"}}
+
+
+@pytest.mark.parametrize("model_type", [name for name, cls in modelio.FAMILIES.items()
+                                        if issubclass(cls, PosePrior)])
+def test_family_names_its_parameters_once(model_type):
+    cls = modelio.FAMILIES[model_type]
+    own = {name for name in ("to_params", "from_params") if name in vars(cls)}
+    assert own == OWN_PARAMS_METHODS.get(cls.__name__, set())
+    model = modelio.load_model(REPO / "tests" / "data" / f"{model_type}.json")
+    assert list(model.to_params()) == list(cls.PARAMS)
+
+
 def test_base_class_defines_every_query():
     assert [name for name in QUERIES if name not in vars(PosePrior)] == []
 
