@@ -7,10 +7,10 @@ raw 66-dimensional Gaussian PDF underflows float64). PosePrior checks the
 input once; a family holds only the math, _log_prob_rows and _grad_rows
 on checked rows, and a point query is one row of them. Gaussian gradient
 rows and one-row values take their k products in one stacked call, the
-gemv or dot each component alone would make, so every gradient row has
-its point gradient's bits; a batch of values takes one GEMM per
-component and 1024-row block, so a row can differ from its one-row value
-in its last bits. Families: soft box limits, multivariate normal,
+gemv each component alone would make, so every gradient row has its
+point gradient's bits; a batch of values takes one GEMM per component
+and 1024-row block, so a row can differ from its one-row value in its
+last bits. Families: soft box limits, multivariate normal,
 per-dimension gamma with sign/shift, Gaussian mixtures fit by EM, and a
 temporal mixture over (dt, dtheta) motion deltas.
 """
@@ -52,19 +52,16 @@ def _stack_factors(chols) -> tuple[np.ndarray, np.ndarray]:
 def _gaussian_log_joint(xs: np.ndarray, means, inv, log_det, log_w) -> np.ndarray:
     """(n, k) block of log N(x; mu_i, Sigma_i) + log w_i, one row per point.
 
-    The centred points are whitened through the stacked L_i^-1 (inv); the
-    Mahalanobis form is each whitened row's squared norm.
+    The centred points are whitened through the stacked L_i^-1 (inv), one
+    GEMM per component and row block; the Mahalanobis form is each whitened
+    row's squared norm.
     """
     n, d = xs.shape
-    if n == 1:  # k stacked gemv calls, each the one a one-row GEMM makes: same bits
-        w = np.matmul(xs - means[:, None], inv.swapaxes(1, 2))[:, 0]
-        maha = np.einsum("nd,nd->n", w, w)[None]
-    else:
-        maha = np.empty((n, len(inv)))
-        for i in range(len(inv)):
-            for s in range(0, n, _ROW_BLOCK):
-                w = (xs[s : s + _ROW_BLOCK] - means[i]) @ inv[i].T
-                maha[s : s + _ROW_BLOCK, i] = np.einsum("nd,nd->n", w, w)
+    maha = np.empty((n, len(inv)))
+    for i in range(len(inv)):
+        for s in range(0, n, _ROW_BLOCK):
+            w = (xs[s : s + _ROW_BLOCK] - means[i]) @ inv[i].T
+            maha[s : s + _ROW_BLOCK, i] = np.einsum("nd,nd->n", w, w)
     return log_w - 0.5 * (d * LOG_2PI + log_det + maha)
 
 
@@ -85,16 +82,32 @@ class PosePrior:
     and _grad_rows(xs) on a checked (n, dim) batch, and support_points for
     grad checks. A family saved as JSON adds MODEL_TYPE and PARAMS: each
     parameter's shape in size symbols, which to_params and from_params read.
+
+    log_prob_bound is at least the computed log_prob(x) at every finite x,
+    so pose recovery can skip the prior where the data term alone rules a
+    trial point out: inf by default (gamma is unbounded where an alpha < 1),
+    0 for box limits and the VAE energy, the Gaussians' peak value.
+
+    A family whose value and gradient share a forward pass defines
+    _forward_rows(xs) and reads it through _forward(xs), which keeps the
+    last one-row pass with the row's bytes as one tuple in one attribute,
+    so a concurrent query never pairs one row's key with another's pass. A
+    gradient at the point just valued reuses it; batches neither read nor
+    replace it. The memo assumes the model is not changed in place.
     """
 
     PARAMS: dict[str, tuple[str, ...]] = {}
+    log_prob_bound = math.inf
+    _last = None  # (row bytes, forward pass) of the last one-row _forward
 
-    def _convert_params(self, nan_ok: bool = False) -> None:
-        """Each PARAMS field as a float array of its shape, where a symbol's first
-        use fixes its size; another shape, or NaN unless nan_ok, is a ValueError."""
+    @classmethod
+    def _checked_params(cls, params, finite: bool = True) -> dict:
+        """Each PARAMS entry as a float array of its shape, where a symbol's first
+        use fixes its size; another shape, or NaN or inf when finite, is a ValueError."""
         sizes: dict[str, int] = {}
-        for name, symbols in self.PARAMS.items():
-            value = np.asarray(getattr(self, name), dtype=float)
+        checked = {}
+        for name, symbols in cls.PARAMS.items():
+            value = np.asarray(params[name], dtype=float)
             fits = value.ndim == len(symbols)
             for symbol, size in zip(symbols, value.shape):
                 fits = fits and sizes.setdefault(symbol, size) == size
@@ -102,8 +115,16 @@ class PosePrior:
                 known = "".join(f", {s} = {sizes[s]}" for s in dict.fromkeys(symbols) if s in sizes)
                 raise ValueError(f"{name} has shape {value.shape}, "
                                  f"expected ({', '.join(symbols)}){known}")
-            if not nan_ok and np.isnan(value).any():
+            if finite and np.isnan(value).any():
                 raise ValueError(f"{name} has NaN entries")
+            if finite and np.isinf(value).any():
+                raise ValueError(f"{name} has infinite entries")
+            checked[name] = value
+        return checked
+
+    def _convert_params(self, finite: bool = True) -> None:
+        """Every PARAMS field replaced by its _checked_params array."""
+        for name, value in self._checked_params(vars(self), finite).items():
             setattr(self, name, value)
 
     def to_params(self) -> dict:
@@ -131,6 +152,19 @@ class PosePrior:
     def grad_log_prob(self, x) -> np.ndarray:
         return self._grad_rows(_check_vec(x, self.dim)[None])[0]
 
+    def _forward(self, xs: np.ndarray):
+        """_forward_rows(xs), taken from the last one-row query when xs is that row again."""
+        if len(xs) != 1:
+            return self._forward_rows(xs)
+        key = xs.tobytes()
+        last = self._last
+        if last is not None and last[0] == key:
+            return last[1]
+        # Rows read from the key's bytes: no view of the caller's array is kept.
+        forward = self._forward_rows(np.frombuffer(key).reshape(xs.shape))
+        self._last = (key, forward)
+        return forward
+
     def mode(self) -> np.ndarray:
         """Where pose recovery starts its unobserved dims; zeros by default."""
         return np.zeros(self.dim)
@@ -145,11 +179,48 @@ class PosePrior:
 
 
 # ---------------------------------------------------------------------------
+# Gaussian components, shared by the normal and the mixtures
+
+
+class _GaussianRows(PosePrior):
+    """Rows of a prior built from k Gaussian components (mu_i, L_i^-1, w_i).
+
+    The forward pass of a row is its k whitened residuals L_i^-1 (x - mu_i),
+    one stacked gemv per row, which a one-row value and every gradient row
+    read. Each gemv is the call a product of that row alone makes, so a
+    one-row value has the bits of such a product.
+    """
+
+    def _set_components(self, means: np.ndarray, chols, log_w) -> None:
+        self._means = means
+        self._inv, self._log_det = _stack_factors(chols)
+        self._log_norm = self.dim * LOG_2PI + self._log_det  # the sum _gaussian_log_joint forms
+        self._log_w = log_w
+        # The value formula at maha = +0 bounds every computed value. A logsumexp
+        # of one term is exact; of several it rounds, hence a slack of 4500 ulp
+        # relative per extra term, far below any data term.
+        peaks = np.atleast_1d(log_w - 0.5 * (self._log_norm + 0.0))
+        top = float(_logsumexp(peaks[None], axis=1)[0])
+        self.log_prob_bound = top + (len(peaks) - 1) * 1e-12 * (1.0 + abs(top))
+
+    def _forward_rows(self, xs: np.ndarray) -> np.ndarray:
+        """(n, k, d) whitened residuals L_i^-1 (x - mu_i)."""
+        return np.matmul(self._inv, (xs[:, None] - self._means)[..., None])[..., 0]
+
+    def _log_joint_rows(self, xs: np.ndarray) -> np.ndarray:
+        """(n, k) log N(x; mu_i, Sigma_i) + log w_i; a batch of several rows takes GEMMs."""
+        if len(xs) != 1:
+            return _gaussian_log_joint(xs, self._means, self._inv, self._log_det, self._log_w)
+        w = self._forward(xs)[0]
+        return self._log_w - 0.5 * (self._log_norm + np.einsum("nd,nd->n", w, w)[None])
+
+
+# ---------------------------------------------------------------------------
 # Multivariate normal
 
 
 @dataclass
-class MvnModel(PosePrior):
+class MvnModel(_GaussianRows):
     """Gaussian over pose vectors; covariance kept with its Cholesky factor."""
 
     MODEL_TYPE = "mvn"
@@ -162,18 +233,17 @@ class MvnModel(PosePrior):
 
     def __post_init__(self):
         self._convert_params()
-        self._inv, self._log_det = _stack_factors([self.chol])
+        self._set_components(self.mean[None], [self.chol], 0.0)
 
     @property
     def dim(self) -> int:
         return self.mean.shape[0]
 
     def _log_prob_rows(self, xs: np.ndarray) -> np.ndarray:
-        return _gaussian_log_joint(xs, self.mean[None], self._inv, self._log_det, 0.0)[:, 0]
+        return self._log_joint_rows(xs)[:, 0]
 
     def _grad_rows(self, xs: np.ndarray) -> np.ndarray:
-        w = np.matmul(self._inv, (xs - self.mean)[:, :, None])  # one gemv per row
-        return -np.matmul(w.swapaxes(1, 2), self._inv)[:, 0]
+        return -np.matmul(self._forward(xs), self._inv)[:, 0]  # one gemv per row
 
     def support_points(self, count: int, rng: np.random.Generator, h: float) -> np.ndarray:
         eps = rng.standard_normal((count, self.dim))
@@ -184,6 +254,7 @@ class MvnModel(PosePrior):
 
     @classmethod
     def from_params(cls, params, meta) -> "MvnModel":
+        params = cls._checked_params(params)  # before cov is symmetrized and factored
         model = mvn_from_moments(params["mean"], params["cov"])
         model.fit_meta = dict(meta)
         return model
@@ -318,7 +389,7 @@ def fit_gamma(data, margin: float = 1e-6) -> GammaModel:
 
 
 @dataclass
-class GmmModel(PosePrior):
+class GmmModel(_GaussianRows):
     """Mixture of full-covariance Gaussians; weights kept normalized."""
 
     MODEL_TYPE = "gmm"
@@ -340,9 +411,7 @@ class GmmModel(PosePrior):
         if abs(total - 1.0) > self.weights.size * np.finfo(float).eps:
             self.weights = self.weights / total
         self._chols = [linalg.cholesky(c) for c in self.covs]
-        self._inv, self._log_det = _stack_factors(self._chols)
-        self._log_norm = self.dim * LOG_2PI + self._log_det  # the sum _gaussian_log_joint forms
-        self._log_w = np.log(self.weights)
+        self._set_components(self.means, self._chols, np.log(self.weights))
 
     @property
     def n_components(self) -> int:
@@ -353,12 +422,11 @@ class GmmModel(PosePrior):
         return self.means.shape[1]
 
     def _log_prob_rows(self, xs: np.ndarray) -> np.ndarray:
-        comp = _gaussian_log_joint(xs, self.means, self._inv, self._log_det, self._log_w)
-        return _logsumexp(comp, axis=1)
+        return _logsumexp(self._log_joint_rows(xs), axis=1)
 
     def _whiten_rows(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(n, k) responsibilities and (n, k, d) whitened residuals L_i^-1 (x - mu_i)."""
-        w = np.matmul(self._inv, (xs[:, None] - self.means)[..., None])[..., 0]
+        w = self._forward(xs)
         maha = np.matmul(w[..., None, :], w[..., None])[..., 0, 0]
         log_joint = self._log_w - 0.5 * (self._log_norm + maha)
         return np.exp(log_joint - _logsumexp(log_joint, axis=1)[:, None]), w
@@ -540,9 +608,10 @@ class BoxLimitModel(PosePrior):
     hi: np.ndarray
     stiffness: float = 1.0
     fit_meta: dict = field(default_factory=dict)
+    log_prob_bound = 0.0
 
     def __post_init__(self):
-        self._convert_params(nan_ok=True)  # the rules below fail on NaN
+        self._convert_params(finite=False)  # limits may be infinite; the rules below fail on NaN
         self.stiffness = float(self.stiffness)
         if not np.all(self.lo < self.hi):
             raise ValueError("requires lo < hi in every dimension")

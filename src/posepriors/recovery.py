@@ -120,7 +120,12 @@ def recover_pose(obs: Observation, prior, lam: float, max_iter: int = 500,
     trial step is halved until the objective strictly decreases (at most 30
     halvings), so the objective trace is non-increasing by construction; a
     trial point that overflows to a non-finite entry scores inf, as a point
-    of zero prior probability does.
+    of zero prior probability does. A trial point skips the prior when its
+    data term minus lam * prior.log_prob_bound (0 for box limits and the
+    VAE energy, the peak value for the Gaussians, inf for gamma) is already
+    at least the current objective: no prior value can make it a decrease,
+    so the same trial is rejected as with the call, every output bit is
+    the same, and only fewer log_prob calls are made.
     The run stops when the gradient infinity-norm drops below tol
     ("grad_tol"), when no halving decreases the objective ("stalled") or
     when the budget runs out ("max_iter"); see `RecoveryResult`.
@@ -134,13 +139,18 @@ def recover_pose(obs: Observation, prior, lam: float, max_iter: int = 500,
 
     inv_var = 1.0 / (obs.noise_sigma**2)
     mask = obs.mask
+    bound = prior.log_prob_bound
 
-    def objective(x: np.ndarray) -> float:
+    def objective(x: np.ndarray, ceiling: float = math.inf) -> float:
+        """The objective at x, or inf without a prior call where the data term
+        and log_prob_bound show it is not below ceiling."""
         if not np.isfinite(x).all():  # a trial step that overflowed
             return float("inf")
         data = 0.5 * inv_var * float(np.sum((x[mask] - obs.values[mask]) ** 2))
         if lam == 0.0:
             return data
+        if data - lam * bound >= ceiling:  # rounding is monotone: data - lam * lp is too
+            return float("inf")
         lp = prior.log_prob(x)
         if lp == float("-inf"):
             return float("inf")
@@ -177,7 +187,7 @@ def recover_pose(obs: Observation, prior, lam: float, max_iter: int = 500,
             t = 1.0
         for _ in range(_MAX_HALVINGS + 1):
             candidate = x + t * d
-            fc = objective(candidate)
+            fc = objective(candidate, fx)
             if fc < fx:
                 break
             t /= 2.0

@@ -601,6 +601,11 @@ BAD_DOCUMENTS = {
     "mvn-nan-mean": ("mvn", "mean", lambda p: {"mean": [math.nan, *p["mean"][1:]]}),
     "gmm-nan-means": ("gmm", "means", lambda p: {"means": [[math.nan, *p["means"][0][1:]]]}),
     "gamma-nan-alpha": ("gamma", "alpha", lambda p: {"alpha": [math.nan, *p["alpha"][1:]]}),
+    "mvn-inf-mean": ("mvn", "mean", lambda p: {"mean": [math.inf, *p["mean"][1:]]}),
+    "gamma-inf-alpha": ("gamma", "alpha", lambda p: {"alpha": [math.inf, *p["alpha"][1:]]}),
+    "gmm-inf-means": ("gmm", "means", lambda p: {"means": [[math.inf, *p["means"][0][1:]]]}),
+    "mvn-nan-cov": ("mvn", "cov", lambda p: {"cov": [[math.nan, *p["cov"][0][1:]], *p["cov"][1:]]}),
+    "mvn-6x5-cov": ("mvn", "cov", lambda p: {"cov": [row[:5] for row in p["cov"]]}),
 }
 
 

@@ -14,9 +14,10 @@ REPO = Path(__file__).resolve().parents[1]
 RECOVERY = REPO / "src" / "posepriors" / "recovery.py"
 # The prior calls a recovery makes are counted by wrappers that count only
 # log_prob and grad_log_prob and forward every other attribute uncounted.
+# log_prob_bound is a model constant read once per recovery, not a pose query.
 COUNTING_PRIORS = {"posebench": REPO / "posebench" / "workloads.py",
                    "tests": REPO / "tests" / "test_recovery.py"}
-RECOVERY_READS = {"dim", "log_prob", "grad_log_prob", "mode", "mean_vector"}
+RECOVERY_READS = {"dim", "log_prob", "grad_log_prob", "mode", "mean_vector", "log_prob_bound"}
 
 
 @pytest.mark.parametrize("cls", [*modelio.FAMILIES.values(), VaeEnergyPrior],

@@ -4,6 +4,7 @@ Hypothesis runs derandomized with few examples, so the suite stays
 deterministic and fast.
 """
 
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from posepriors import gradcheck
+from posepriors import gradcheck, modelio
 from posepriors.errors import DataError
 from posepriors.gradcheck import max_relative_error, sample_in_support
 from posepriors.posedata import MotionSequence, compute_deltas
@@ -19,6 +20,8 @@ from posepriors.priors import (
     BoxLimitModel,
     GammaModel,
     GmmModel,
+    PosePrior,
+    TemporalGmmModel,
     fit_temporal_gmm,
     mvn_from_moments,
 )
@@ -147,3 +150,79 @@ def test_point_queries_reject_a_nan_or_long_point(name, query):
     for point, message in ((with_nan, "non-finite"), (np.append(x, 0.0), "vector has shape")):
         with pytest.raises(DataError, match=message):
             getattr(prior, query)(point)
+
+
+# log_prob_bound: each family built at a covariance scale from 1e-3 (peaks far
+# above 0 in 66 dims) to 20, with the points where its log_prob is largest.
+
+
+def _scaled_spd(rng, d, scale):
+    a = rng.standard_normal((d, d))
+    return scale * (a @ a.T / d + 0.1 * np.eye(d))
+
+
+def _bound_mvn(rng, d, scale, spread):
+    prior = mvn_from_moments(rng.standard_normal(d), _scaled_spd(rng, d, scale))
+    return prior, prior.mean[None]
+
+
+def _bound_mixture(cls):
+    def build(rng, d, scale, spread):
+        # spread 0 puts every component at one mean, where the logsumexp is tightest.
+        k = int(rng.integers(1, 5))
+        prior = cls(weights=rng.uniform(0.1, 1.0, k),
+                    means=rng.standard_normal(d) + spread * rng.standard_normal((k, d)),
+                    covs=np.stack([_scaled_spd(rng, d, scale) for _ in range(k)]))
+        return prior, prior.means
+    return build
+
+
+def _bound_gamma(rng, d, scale, spread):
+    prior = GammaModel(alpha=rng.uniform(0.3, 4.0, d), beta=rng.uniform(0.5, 3.0, d) / scale,
+                       sign=np.where(rng.random(d) < 0.5, 1.0, -1.0),
+                       shift=rng.uniform(-1.0, 1.0, d))
+    return prior, np.stack([prior.mode(), prior.mean_vector()])
+
+
+def _bound_box(rng, d, scale, spread):
+    lo = rng.uniform(-1.0, 0.0, d)
+    prior = BoxLimitModel(lo=lo, hi=lo + rng.uniform(0.1, 2.0, d),
+                          stiffness=float(rng.uniform(0.5, 50.0)))
+    return prior, rng.uniform(prior.lo, prior.hi, (4, d))
+
+
+def _bound_vae(rng, d, scale, spread):
+    prior = VaeEnergyPrior(build_vae(n_joints=d // 3, latent_dim=2, hidden=(8,),
+                                     seed=int(rng.integers(1000))))
+    return prior, np.zeros((1, d))
+
+
+BOUND_FAMILIES = {"mvn": _bound_mvn, "gmm": _bound_mixture(GmmModel),
+                  "temporal_gmm": _bound_mixture(TemporalGmmModel), "gamma": _bound_gamma,
+                  "box": _bound_box, "vae": _bound_vae}
+
+
+def test_every_family_states_a_bound():
+    families = {name for name, cls in modelio.FAMILIES.items() if issubclass(cls, PosePrior)}
+    assert set(BOUND_FAMILIES) == families | {"vae"}
+    assert PosePrior.log_prob_bound == math.inf
+
+
+@pytest.mark.parametrize("name", sorted(BOUND_FAMILIES))
+@PROPERTY
+@given(seed=seeds, d=st.sampled_from([3, 6, 66]), scale=st.sampled_from([1e-3, 0.05, 1.0, 20.0]),
+       spread=st.sampled_from([0.0, 1e-6, 1.0]))
+def test_log_prob_never_exceeds_its_bound(name, seed, d, scale, spread):
+    rng = np.random.default_rng(seed)
+    prior, peaks = BOUND_FAMILIES[name](rng, d, scale, spread)
+    near = peaks[rng.integers(len(peaks), size=8)] + 1e-3 * scale * rng.standard_normal((8, d))
+    xs = np.concatenate([peaks, near, rng.normal(0.0, 3.0, (8, d))])
+    assert all(prior.log_prob(x) <= prior.log_prob_bound for x in xs)
+    assert np.all(prior.log_prob_many(xs) <= prior.log_prob_bound)
+
+
+@PROPERTY
+@given(seed=seeds, d=st.sampled_from([3, 6, 66]), scale=st.sampled_from([1e-3, 1.0, 20.0]))
+def test_normal_bound_is_its_value_at_the_mean(seed, d, scale):
+    prior, _ = _bound_mvn(np.random.default_rng(seed), d, scale, 0.0)
+    assert prior.log_prob(prior.mean) == prior.log_prob_bound

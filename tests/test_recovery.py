@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from posepriors import linalg, recovery
 from posepriors.errors import NumericalError
 from posepriors.priors import BoxLimitModel, GammaModel, GmmModel, PosePrior, mvn_from_moments
 from posepriors.recovery import Observation, recover_pose
+from posepriors.vae import VaeEnergyPrior, build_vae
 
 
 def make_mvn(rng, dim=6, scale=0.3):
@@ -266,12 +268,60 @@ class TestWorkCounts:
         assert result.stop_reason == "grad_tol"
         assert (counted.log_prob_calls, counted.grad_calls) == (1, 1)
 
+    def test_bound_skips_log_prob_calls_only(self):
+        obs, prior = oracle_66()
+        unbounded = copy.deepcopy(prior)
+        unbounded.log_prob_bound = math.inf
+        counted, plain = CountingPrior(prior), CountingPrior(unbounded)
+        result = recover_pose(obs, counted, lam=1.0, tol=1e-9)
+        recover_pose(obs, plain, lam=1.0, tol=1e-9)
+        assert counted.log_prob_calls < plain.log_prob_calls
+        assert counted.grad_calls == plain.grad_calls == result.iterations_used
+
     def test_lambda_zero_never_calls_the_prior(self):
         obs, prior = oracle_66()
         obs.mask[:3] = False
         counted = CountingPrior(prior)
         recover_pose(obs, counted, lam=0.0)
         assert (counted.log_prob_calls, counted.grad_calls) == (0, 0)
+
+
+def _bound_problems():
+    """(obs, prior, tol) per case: the 66-d oracle at two tolerances, a GMM, a VAE and a box."""
+    obs, prior = oracle_66()
+    rng = np.random.default_rng(23)
+    gmm = GmmModel(weights=[0.5, 0.3, 0.2], means=rng.normal(0.0, 1.0, (3, 12)),
+                   covs=np.stack([0.1 * np.eye(12) + 0.02 * np.ones((12, 12))] * 3))
+    gmm_obs = Observation(values=gmm.means[0] + rng.normal(0.0, 0.2, 12), noise_sigma=0.2,
+                          mask=np.arange(12) >= 3)
+    vae = VaeEnergyPrior(build_vae(n_joints=4, latent_dim=2, hidden=(8,), seed=3))
+    vae_obs = Observation(values=rng.normal(0.0, 0.5, 12), noise_sigma=0.2)
+    box = BoxLimitModel(lo=-0.5 * np.ones(6), hi=np.linspace(0.1, 1.0, 6), stiffness=20.0)
+    box_obs = Observation(values=rng.normal(0.0, 1.5, 6), noise_sigma=0.3)
+    return {"oracle-1e-3": (obs, prior, 1e-3), "oracle-1e-9": (obs, prior, 1e-9),
+            "gmm": (gmm_obs, gmm, 1e-6), "vae": (vae_obs, vae, 1e-6), "box": (box_obs, box, 1e-6)}
+
+
+BOUND_PROBLEMS = _bound_problems()
+
+
+@pytest.mark.parametrize("case", BOUND_PROBLEMS)
+def test_log_prob_bound_changes_no_output_bit(case):
+    # A skipped trial is one the prior value would have rejected, so the run is
+    # the one an unbounded prior gives, with fewer log_prob calls.
+    obs, prior, tol = BOUND_PROBLEMS[case]
+    unbounded = copy.deepcopy(prior)
+    unbounded.log_prob_bound = math.inf
+    runs = []
+    for model in (prior, unbounded):
+        counted = CountingPrior(model)
+        runs.append((recover_pose(obs, counted, lam=1.0, tol=tol), counted.log_prob_calls))
+    (got, calls), (want, unbounded_calls) = runs
+    assert got.estimate.tobytes() == want.estimate.tobytes()
+    assert got.objective_trace == want.objective_trace
+    assert (got.iterations_used, got.stop_reason) == (want.iterations_used, want.stop_reason)
+    assert got.stop_reason == ("stalled" if case == "oracle-1e-9" else "grad_tol")
+    assert calls < unbounded_calls
 
 
 class TestCurvatureSafeguard:

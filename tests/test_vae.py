@@ -7,9 +7,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from posepriors import modelio, posedata, rotations, vae
+from posepriors import modelio, posedata, priors, rotations, vae
 from posepriors.errors import DataError
 from posepriors.posedata import PoseDataset, axis_angle_to_matrices, default_column_names
+from posepriors.priors import GmmModel
 from posepriors.vae import (
     LossWeights,
     TrainConfig,
@@ -569,6 +570,14 @@ class TestPriorEnergy:
         assert np.all(np.isfinite(grad))
 
 
+def _memo_gmm():
+    """A 6-d, 3-component mixture for the memo tests, its components close enough
+    that every responsibility is far from 0 and 1 at the memo poses."""
+    rng = np.random.default_rng(17)
+    covs = np.stack([np.eye(6) * s + 0.1 * np.ones((6, 6)) for s in (0.5, 1.0, 2.0)])
+    return GmmModel(weights=[0.2, 0.3, 0.5], means=rng.normal(0.0, 0.5, (3, 6)), covs=covs)
+
+
 # Poses of a 2-joint model for the memo tests: signed zeros, the Taylor
 # branch (1e-5), ordinary and large angles, and two near-equal rows.
 _MEMO_POSES = [np.zeros(6), -np.zeros(6), np.array([0.0, -0.0, 0.0, -0.0, 0.0, 1e-9])]
@@ -587,34 +596,42 @@ _MEMO_OPS = st.lists(st.one_of(
 # The caller's buffer changes after a value; the valued bytes then come back in another array.
 @example([("set", 3), ("log_prob", 0), ("set", 4), ("grad_log_prob_many", [3])])
 def test_point_memo_never_changes_a_bit(ops):
-    """Each query of one long-lived prior has the bits of the same query made on a
-    freshly built prior, whatever one-row or batch queries came before it."""
+    """Each query of one long-lived prior, the VAE energy and a GMM, has the bits of
+    the same query made on a freshly built prior, whatever one-row or batch
+    queries came before it. "energy" is the VAE's own query, the GMM's is its
+    responsibilities."""
     model = tiny_model()
-    prior = VaeEnergyPrior(model)
+    built = {"vae": VaeEnergyPrior(model), "gmm": _memo_gmm()}  # never queried
+    live = {name: copy.deepcopy(prior) for name, prior in built.items()}
     x = _MEMO_POSES[0].copy()  # the caller's buffer, changed in place by "set"
 
-    def fresh(query, xs):
-        return getattr(VaeEnergyPrior(model), query)(xs.copy())
+    def fresh(name, query, xs):
+        return getattr(copy.deepcopy(built[name]), query)(xs.copy())
 
     for query, arg in ops:
         if query == "set":
             x[:] = _MEMO_POSES[arg]
         elif query == "deepcopy":
-            prior = copy.deepcopy(prior)
+            live = {name: copy.deepcopy(prior) for name, prior in live.items()}
         elif query == "energy":
             e, g = vae_prior_energy(model, x)
-            assert e == -fresh("log_prob", x)
-            assert g.tobytes() == (-fresh("grad_log_prob", x)).tobytes()
+            assert e == -fresh("vae", "log_prob", x)
+            assert g.tobytes() == (-fresh("vae", "grad_log_prob", x)).tobytes()
+            got = live["gmm"].responsibilities(x)
+            assert got.tobytes() == fresh("gmm", "responsibilities", x).tobytes()
         elif query.endswith("_many"):  # no rows stands for the caller's buffer as one row
             xs = np.array([_MEMO_POSES[i] for i in arg]) if arg else x[None]
-            assert getattr(prior, query)(xs).tobytes() == fresh(query, xs).tobytes()
+            for name, prior in live.items():
+                assert getattr(prior, query)(xs).tobytes() == fresh(name, query, xs).tobytes()
         else:
-            got = getattr(prior, query)(x)
-            assert np.asarray(got).tobytes() == np.asarray(fresh(query, x)).tobytes()
+            for name, prior in live.items():
+                got = np.asarray(getattr(prior, query)(x))
+                assert got.tobytes() == np.asarray(fresh(name, query, x)).tobytes()
 
 
 class TestPointMemoWork:
-    """A value and a gradient at one point share one Rodrigues and encoder forward."""
+    """A value and a gradient at one point share one forward pass: the VAE's
+    Rodrigues map and encoder, the GMM's whitening."""
 
     @pytest.fixture
     def forwards(self, monkeypatch):
@@ -652,6 +669,31 @@ class TestPointMemoWork:
         assert forwards == [2, 10] and prior._last is last
         prior.grad_log_prob(x)
         assert forwards == [2, 10]
+
+    def test_gmm_value_and_gradient_share_one_whitening(self, monkeypatch):
+        calls = []
+        forward = priors._GaussianRows._forward_rows
+
+        def counted(self, xs):
+            calls.append(len(xs))
+            return forward(self, xs)
+
+        monkeypatch.setattr(priors._GaussianRows, "_forward_rows", counted)
+        prior = _memo_gmm()
+        rng = np.random.default_rng(7)
+        x, y = random_pose(rng), random_pose(rng)
+        prior.log_prob(x)
+        prior.grad_log_prob(x)
+        prior.responsibilities(x)
+        assert calls == [1]
+        prior.grad_log_prob(y)
+        assert calls == [1, 1]
+        last = prior._last
+        prior.grad_log_prob_many(np.array([random_pose(rng) for _ in range(5)]))
+        prior.log_prob_many(np.array([random_pose(rng) for _ in range(5)]))  # GEMMs, no whitening
+        assert calls == [1, 1, 5] and prior._last is last
+        prior.log_prob(y)
+        assert calls == [1, 1, 5]
 
 
 AXIS = np.array([0.48, -0.6, 0.64])  # a unit vector
