@@ -39,14 +39,14 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _emit(value, out_path: str | None, text_of=None) -> None:
-    """The one stdout-or-file choice: `text_of(value)` (`modelio.canonical_dumps`, looked up
-    per call, by default) to stdout, or to `out_path`."""
-    text = (text_of or modelio.canonical_dumps)(value)
+def _emit(value, out_path: str | None, pieces_of=None) -> None:
+    """The one stdout-or-file choice: the str pieces `pieces_of(value)` (by default the one
+    piece `modelio.canonical_dumps(value)`, looked up per call) to stdout, or to `out_path`."""
+    pieces = pieces_of(value) if pieces_of else [modelio.canonical_dumps(value)]
     if out_path:
-        posedata.write_text(out_path, text)
+        posedata.write_text(out_path, pieces)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
 
 
 def _int_type(low: int, kind: str):
@@ -83,7 +83,7 @@ def _cmd_gen(args) -> int:
     spec = posedata.SynthSpec.from_json(args.spec)
     seed = args.seed if args.seed is not None else spec.seed
     dataset = posedata.synth_generate(spec, seed=seed)
-    _emit(dataset, args.out, posedata.pose_csv_text)
+    _emit(dataset, args.out, posedata.pose_csv_pieces)
     return 0
 
 
@@ -159,7 +159,7 @@ def _cmd_analyze(args) -> int:
     }
     if args.hist_out:
         rows = zip(hist.edges[:-1].tolist(), hist.edges[1:].tolist(), hist.counts.tolist())
-        posedata.write_text(args.hist_out, posedata.csv_text(["bin_lo", "bin_hi", "count"], rows))
+        posedata.write_text(args.hist_out, [posedata.csv_text(["bin_lo", "bin_hi", "count"], rows)])
     _emit(report, args.out)
     return 0
 

@@ -74,7 +74,7 @@ def model_from_doc(doc: dict):
 
 
 def save_model(model, path) -> None:
-    write_text(path, canonical_dumps(model_to_doc(model)))
+    write_text(path, [canonical_dumps(model_to_doc(model))])
 
 
 def load_model(path):

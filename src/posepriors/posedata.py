@@ -3,22 +3,28 @@
 Pose vectors are flat float64 arrays of axis-angle components in radians,
 three per joint. Reading: `read_json` for every JSON document (specs,
 models, observations), and one reader shared by the pose and sequence CSV
-layouts. Every reader turns a missing file, invalid JSON, a bad marker or
-header, or a bad row into a `DataError` that names the file (and, for a
-CSV row, its line and column). CSV rows are parsed by numpy's C reader; a
-body that reader does not take exactly goes through the per-line parser,
-so what is accepted and every message are those of `float()` on each
-cell. Writing: `write_text` is the only function that opens a file for
-writing, and `csv_text` the one CSV line writer, each cell the shortest
-`repr` of a plain Python number. The module also holds a seeded synthetic
-dataset generator that stands in for motion-capture corpora, Rodrigues
-conversion between flat axis-angle pose vectors and (J, 3, 3) rotation
-stacks (input checks here, the batched kernels in `rotations`), and the
-extraction of frame-to-frame motion deltas.
+layouts. Every reader turns a missing file, text that is not UTF-8,
+invalid JSON, a bad marker or header, or a bad row into a `DataError`
+that names the file (and, for a CSV row, its line and column). A CSV is
+read as a stream of lines cut from fixed-size blocks of text, so a load
+holds the array plus one block. Its rows are parsed by numpy's C reader;
+a body that reader does not take exactly goes through the per-line
+parser, so what is accepted and every message are those of `float()` on
+each cell. Writing: `write_text` is the only function that opens a file
+for writing, and it writes a stream of str pieces; `csv_text` is the one
+CSV line writer, each cell the shortest `repr` of a plain Python number,
+and a pose or sequence CSV is written one block of rows at a time. The
+module also holds a seeded synthetic dataset generator that stands in for
+motion-capture corpora, Rodrigues conversion between flat axis-angle pose
+vectors and (J, 3, 3) rotation stacks (input checks here, the batched
+kernels in `rotations`), and the extraction of frame-to-frame motion
+deltas.
 """
 
 from __future__ import annotations
 
+import contextlib
+import itertools
 import json
 import math
 import numbers
@@ -149,90 +155,136 @@ class TemporalDelta:
 # ---------------------------------------------------------------------------
 # File I/O: one reader per format, one text writer for every file
 
+_READ_CHARS = 1 << 16  # characters per decoded block a read holds
+_WRITE_ROWS = 512  # table rows per block of text a write holds
 
-def _read_text(path) -> str:
+
+def _read_text(path):
+    """The text of `path`, decoded as UTF-8, in blocks of at most `_READ_CHARS`
+    characters. The text-mode open turns each CR LF pair and lone CR into LF."""
     if not os.path.exists(path):
         raise DataError(f"no such file: {path}")
     with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+        try:
+            while block := fh.read(_READ_CHARS):
+                yield block
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
-def write_text(path, text: str) -> None:
-    """Write `text` to `path` as UTF-8, replacing any file there."""
+def write_text(path, pieces) -> None:
+    """Write the str `pieces`, in order, to `path` as UTF-8, replacing any file there."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+        fh.writelines(pieces)
 
 
 def read_json(path):
-    """Parse a JSON document; a missing file or invalid JSON is a DataError."""
-    text = _read_text(path)
+    """Parse a JSON document; a missing file, text that is not UTF-8 or invalid
+    JSON is a DataError."""
+    text = "".join(_read_text(path))
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}: invalid JSON ({exc})") from None
 
 
+def _lines(path):
+    """The lines of `path`, exactly those `str.splitlines` gives for its whole text.
+    Every line break left after `_read_text` is one character, so cutting a block
+    after its last LF splits none; a line that spans blocks waits in `parts`."""
+    parts = []
+    with contextlib.closing(_read_text(path)) as blocks:
+        for block in blocks:
+            cut = block.rfind("\n") + 1
+            if cut:
+                yield from "".join([*parts, block[:cut]]).splitlines()
+                parts.clear()
+            parts.append(block[cut:])
+    yield from "".join(parts).splitlines()
+
+
+class _PerLine(Exception):
+    """A body line that numpy's reader could take differently from float()."""
+
+
 def _read_table(path, first_column: str | None = None) -> tuple[list[str], np.ndarray]:
-    """Header and (N, C) body of a `# pose-csv v1` file. Marker, header and
-    first-column faults are reported before any row fault."""
-    text = _read_text(path)
-    lines = text.splitlines()
-    if not lines or lines[0].strip() != CSV_MARKER:
-        raise DataError(f"{path}: missing '{CSV_MARKER}' marker line")
-    if len(lines) < 2:
-        raise DataError(f"{path}: missing header line")
-    header = [c.strip() for c in lines[1].split(",")]
-    if first_column is not None and header[0] != first_column:
-        raise DataError(f"{path}: first column must be {first_column}")
-    # numpy's C reader first, its result kept only at one row per body line
-    # and one column per header cell. Bodies it would read differently from
-    # float() skip it: it drops empty lines (warning when none are left) and
-    # strips U+001F around a number. Every row fault comes from the per-line
-    # parser below.
-    body = lines[2:]
-    if body and all(body) and "\x1f" not in text:
+    """Header and (N, C) body of a `# pose-csv v1` file, read as a stream of
+    lines. Marker, header and first-column faults are reported before any row
+    fault."""
+    with contextlib.closing(_lines(path)) as lines:
+        if next(lines, "").strip() != CSV_MARKER:
+            raise DataError(f"{path}: missing '{CSV_MARKER}' marker line")
+        header_line = next(lines, None)
+        if header_line is None:
+            raise DataError(f"{path}: missing header line")
+        header = [c.strip() for c in header_line.split(",")]
+        if first_column is not None and header[0] != first_column:
+            raise DataError(f"{path}: first column must be {first_column}")
+        # numpy's C reader first, fed the body lines as they are read, its result
+        # kept only at one row per body line and one column per header cell.
+        # `body` stops it where it would read differently from float(): it drops
+        # empty lines (warning when none are left, as on an empty body) and
+        # strips U+001F around a number. Every row fault comes from the per-line
+        # parser below, on a fresh stream of the same file.
+        n_body = 0
+
+        def body():
+            nonlocal n_body
+            for n_body, line in enumerate(lines, start=1):
+                if not line or "\x1f" in line:
+                    raise _PerLine
+                yield line
+            if not n_body:
+                raise _PerLine
+
         try:
-            values = np.loadtxt(body, delimiter=",", comments=None, dtype=float, ndmin=2)
-        except ValueError:
+            values = np.loadtxt(body(), delimiter=",", comments=None, dtype=float, ndmin=2)
+        except (_PerLine, ValueError):
             pass
         else:
-            if values.shape == (len(body), len(header)):
+            if values.shape == (n_body, len(header)):
                 return header, values
     rows = []
-    for ln, line in enumerate(body, start=3):  # data starts at file line 3
-        cells = line.split(",")
-        if len(cells) != len(header):
-            raise DataError(
-                f"{path}: line {ln} has {len(cells)} cells, expected {len(header)}"
-            )
-        try:
-            rows.append(list(map(float, cells)))
-        except ValueError:
-            for col, cell in enumerate(cells):
-                try:
-                    float(cell)
-                except ValueError:
-                    raise DataError(
-                        f"{path}: non-numeric value {cell!r} at line {ln}, column {col + 1}"
-                    ) from None
+    with contextlib.closing(_lines(path)) as lines:
+        # data starts at file line 3, after the marker and header checked above
+        for ln, line in enumerate(itertools.islice(lines, 2, None), start=3):
+            cells = line.split(",")
+            if len(cells) != len(header):
+                raise DataError(
+                    f"{path}: line {ln} has {len(cells)} cells, expected {len(header)}"
+                )
+            try:
+                rows.append(list(map(float, cells)))
+            except ValueError:
+                for col, cell in enumerate(cells):
+                    try:
+                        float(cell)
+                    except ValueError:
+                        raise DataError(
+                            f"{path}: non-numeric value {cell!r} at line {ln}, column {col + 1}"
+                        ) from None
     if not rows:
         raise DataError(f"{path}: empty body")
     return header, np.asarray(rows, dtype=float)
 
 
+def _csv_rows(rows) -> str:
+    """One line per row of plain Python numbers, each cell its repr (shortest
+    round-trip for a float, digits for an int)."""
+    return "".join([",".join(map(repr, row)) + "\n" for row in rows])
+
+
 def csv_text(header, rows) -> str:
-    """The header line and one line per row of plain Python numbers, each
-    cell its repr (shortest round-trip for a float, digits for an int)."""
-    lines = [",".join(header)]
-    lines.extend(",".join(map(repr, row)) for row in rows)
-    lines.append("")  # the final newline, without copying the text
-    return "\n".join(lines)
+    """The header line over `_csv_rows`: the one CSV line writer."""
+    return ",".join(header) + "\n" + _csv_rows(rows)
 
 
-def _table_text(header, rows: np.ndarray) -> str:
-    """The marker line over `csv_text`. Rows become plain floats one at a time,
-    so a large table never exists as one list of Python floats."""
-    return f"{CSV_MARKER}\n" + csv_text(header, (row.tolist() for row in rows))
+def _table_pieces(header, rows: np.ndarray):
+    """The marker line over `csv_text`, `_WRITE_ROWS` rows at a time, so a write
+    holds one block of rows as plain floats and as text."""
+    yield f"{CSV_MARKER}\n" + csv_text(header, [])
+    for start in range(0, len(rows), _WRITE_ROWS):
+        yield _csv_rows(rows[start : start + _WRITE_ROWS].tolist())
 
 
 def load_pose_csv(path) -> PoseDataset:
@@ -241,12 +293,13 @@ def load_pose_csv(path) -> PoseDataset:
     return PoseDataset(dim=len(header), column_names=header, samples=values, source=str(path))
 
 
-def pose_csv_text(dataset: PoseDataset) -> str:
-    return _table_text(dataset.column_names, dataset.samples)
+def pose_csv_pieces(dataset: PoseDataset):
+    """The text of a pose CSV as str pieces: marker and header, then blocks of rows."""
+    return _table_pieces(dataset.column_names, dataset.samples)
 
 
 def save_pose_csv(dataset: PoseDataset, path) -> None:
-    write_text(path, pose_csv_text(dataset))
+    write_text(path, pose_csv_pieces(dataset))
 
 
 def load_sequence_csv(path) -> MotionSequence:
@@ -260,7 +313,7 @@ def load_sequence_csv(path) -> MotionSequence:
 
 def save_sequence_csv(seq: MotionSequence, path, column_names=None) -> None:
     names = column_names or default_column_names(seq.dim)
-    write_text(path, _table_text(["time_s", *names], np.column_stack([seq.timestamps, seq.poses])))
+    write_text(path, _table_pieces(["time_s", *names], np.column_stack([seq.timestamps, seq.poses])))
 
 
 # ---------------------------------------------------------------------------

@@ -499,7 +499,7 @@ def write_loss_trace(trace, path) -> None:
     """Loss trace CSV: epoch, l_kl, l_rec, l_orth, l_det1, l_reg, l_total."""
     columns = ("l_kl", "l_rec", "l_orth", "l_det1", "l_reg", "l_total")
     rows = ([e, *(float(getattr(bd, c)) for c in columns)] for e, bd in enumerate(trace, start=1))
-    write_text(path, csv_text(["epoch", *columns], rows))
+    write_text(path, [csv_text(["epoch", *columns], rows)])
 
 
 # ---------------------------------------------------------------------------

@@ -630,6 +630,21 @@ def test_inconsistent_model_document_fails_on_load_naming_file_and_key(workdir, 
                     rf"{key}\b", captured.err), captured.err
 
 
+@pytest.mark.parametrize("command", ["fit", "eval"])
+def test_non_utf8_file_is_data_error_naming_the_file(workdir, capsys, command):
+    bad = workdir / "bad"
+    if command == "fit":  # a pose CSV with byte 0xff in a cell
+        bad.write_bytes(b"# pose-csv v1\na,b\n1.0,\xff\n")
+        argv = ["fit", "--model", "mvn", "--data", str(bad)]
+    else:  # a model document with byte 0xff in a key
+        bad.write_bytes(b'{"form\xff": 1}')
+        argv = ["eval", "--model", str(bad), "--data", str(workdir / "d.csv")]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"data error: {bad}: not UTF-8 text (invalid start byte)\n"
+
+
 @pytest.mark.parametrize("limits", ["all-infinite", "one-sided"])
 def test_box_with_infinite_limits_grad_checks_and_recovers(workdir, capsys, limits):
     path = workdir / "box.json"

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -20,7 +21,7 @@ from posepriors.posedata import (
     load_pose_csv,
     load_sequence_csv,
     matrices_to_axis_angle,
-    pose_csv_text,
+    pose_csv_pieces,
     samples_of,
     save_pose_csv,
     save_sequence_csv,
@@ -139,7 +140,7 @@ class TestIoContract:
     def test_pose_csv_text_bytes(self):
         ds = PoseDataset(dim=6, column_names=list("abcdef"),
                          samples=np.array([AWKWARD, AWKWARD[::-1]]))
-        assert pose_csv_text(ds) == (
+        assert "".join(pose_csv_pieces(ds)) == (
             "# pose-csv v1\n"
             "a,b,c,d,e,f\n"
             "-0.0,5e-324,0.1,0.3333333333333333,2.0,1e+22\n"
@@ -158,6 +159,20 @@ class TestIoContract:
             b"5e-324,1e+22,-0.0\n"
             b"0.1,0.1,5e-324\n"
         )
+
+    @pytest.mark.parametrize("n_rows", [0, 1, posedata._WRITE_ROWS - 1, posedata._WRITE_ROWS,
+                                        posedata._WRITE_ROWS + 1])
+    def test_table_pieces_join_to_one_line_per_row(self, tmp_path, n_rows):
+        rows = np.resize(np.array(AWKWARD), (n_rows, 3))
+        want = "# pose-csv v1\na,b,c\n" + "".join(
+            ",".join(map(repr, row)) + "\n" for row in rows.tolist())
+        pieces = list(posedata._table_pieces(["a", "b", "c"], rows))
+        assert len(pieces) == 1 + -(-n_rows // posedata._WRITE_ROWS)
+        assert "".join(pieces) == want
+        if n_rows:
+            path = tmp_path / "d.csv"
+            save_pose_csv(PoseDataset(dim=3, column_names=list("abc"), samples=rows), path)
+            assert path.read_bytes() == want.encode()
 
     def test_csv_text_cells_are_reprs_of_plain_numbers(self):
         assert csv_text(["n", "x"], [[3, 0.1], [-2, 1e22], [0, -0.0]]) == (
@@ -276,6 +291,77 @@ class TestFastPathAgreesWithPerLineParser:
         with mock.patch.object(posedata.np, "loadtxt", wraps=np.loadtxt) as spy:
             assert load_pose_csv(path).samples.tolist() == [[0.1, 0.2], [0.3, 0.4]]
         assert spy.call_count == 1
+
+
+class TestSmallReadBlocks(TestFastPathAgreesWithPerLineParser):
+    """The same layouts and bodies, read in blocks of a few characters: cuts fall
+    inside cells, right after a translated CR LF, and next to U+2028 and U+001F."""
+
+    @pytest.fixture(autouse=True, scope="class", params=[1, 2, 3, 7])
+    def small_blocks(self, request):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(posedata, "_READ_CHARS", request.param)
+            yield
+
+
+# Every break str.splitlines knows, each twice in a row, after a multi-byte character.
+BROKEN_TEXT = ("# pose-csv v1\r\n\r\na,\x1fb\r" + "".join(
+    f"\u00e9{k},\u20ac{brk}{brk}"
+    for k, brk in enumerate("\n \r\n \r \x0b \x0c \x1c \x1d \x1e \x85 \u2028 \u2029".split(" ")))
+    + "1,2")
+
+
+@pytest.mark.parametrize("chars", [1, 2, 3, 5, 8, 1 << 16])
+def test_lines_are_those_of_the_whole_text(tmp_path, monkeypatch, chars):
+    path = tmp_path / "d.csv"
+    path.write_bytes(BROKEN_TEXT.encode())
+    monkeypatch.setattr(posedata, "_READ_CHARS", chars)
+    assert list(posedata._lines(path)) == BROKEN_TEXT.splitlines()
+
+
+def test_a_failed_load_leaves_no_file_open(tmp_path, monkeypatch):
+    """numpy's reader stops at line 23, then the per-line parser raises there: both
+    line streams are closed, mid-file, before the DataError reaches the caller."""
+    opened = []
+
+    def recording_open(*args, **kwargs):
+        opened.append(open(*args, **kwargs))
+        return opened[-1]
+
+    monkeypatch.setattr(posedata, "open", recording_open, raising=False)
+    monkeypatch.setattr(posedata, "_READ_CHARS", 8)
+    path = tmp_path / "d.csv"
+    path.write_text("# pose-csv v1\na,b\n" + "1,2\n" * 20 + "1,x\n" + "3,4\n" * 20)
+    with pytest.raises(DataError, match="line 23, column 2") as held:
+        load_pose_csv(path)
+    # `held` keeps the traceback, and with it the reader's frames, alive here.
+    assert len(opened) == 2 and all(fh.closed for fh in opened)
+
+
+def test_a_load_holds_one_block_of_text_and_a_save_one_block_of_rows(tmp_path):
+    """A 4000 x 66 table (2.1 MB as floats, 5.2 MB as CSV): a load peaks near the
+    array's size, a save below the file's."""
+    rng = np.random.default_rng(5)
+    ds = PoseDataset(dim=66, column_names=posedata.default_column_names(66),
+                     samples=rng.normal(size=(4000, 66)))
+    path = tmp_path / "big.csv"
+    was_tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        def peak_of(call):
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            result = call()
+            return result, tracemalloc.get_traced_memory()[1] - before
+
+        _, save_peak = peak_of(lambda: save_pose_csv(ds, path))
+        back, load_peak = peak_of(lambda: load_pose_csv(path))
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    assert back.samples.tobytes() == ds.samples.tobytes()
+    assert save_peak <= 1.0 * path.stat().st_size
+    assert load_peak <= 1.5 * back.samples.nbytes
 
 
 class TestSynthSpecJson:
