@@ -91,9 +91,11 @@ class PosePrior:
     A family whose value and gradient share a forward pass defines
     _forward_rows(xs) and reads it through _forward(xs), which keeps the
     last one-row pass with the row's bytes as one tuple in one attribute,
-    so a concurrent query never pairs one row's key with another's pass. A
-    gradient at the point just valued reuses it; batches neither read nor
-    replace it. The memo assumes the model is not changed in place.
+    so a concurrent query never pairs one row's key with another's pass.
+    Every one-row query reads and replaces it, a one-row batch included, so
+    a gradient at the point just valued reuses that value's pass; larger
+    batches neither read nor replace it. The memo assumes the model is not
+    changed in place; VaeEnergyPrior drops it when its model is reassigned.
     """
 
     PARAMS: dict[str, tuple[str, ...]] = {}
@@ -147,7 +149,7 @@ class PosePrior:
         return self._grad_rows(self._check_batch(xs))
 
     def log_prob(self, x) -> float:
-        return float(self.log_prob_many(_check_vec(x, self.dim)[None])[0])
+        return float(self._log_prob_rows(_check_vec(x, self.dim)[None])[0])
 
     def grad_log_prob(self, x) -> np.ndarray:
         return self._grad_rows(_check_vec(x, self.dim)[None])[0]
@@ -369,14 +371,16 @@ def fit_gamma(data, margin: float = 1e-6) -> GammaModel:
         raise ValueError("fit_gamma needs at least 10 samples")
     mean = x.mean(axis=0)
     centered = x - mean
-    var_pop = np.mean(centered**2, axis=0)
+    buf = centered**2  # one (n, d) buffer holds the square, the cube and then y
+    var_pop = np.mean(buf, axis=0)
     if np.any(var_pop <= 0.0):
         bad = int(np.argmax(var_pop <= 0.0))
         raise ValueError(f"zero variance in dimension {bad}")
-    skew = np.mean(centered**3, axis=0) / var_pop**1.5
+    skew = np.mean(np.power(centered, 3, out=buf), axis=0) / var_pop**1.5
+    del centered
     sign = np.where(skew >= 0.0, 1.0, -1.0)
     shift = np.where(sign > 0.0, x.min(axis=0) - margin, x.max(axis=0) + margin)
-    y = sign * (x - shift)
+    y = np.multiply(sign, np.subtract(x, shift, out=buf), out=buf)
     my = y.mean(axis=0)
     vy = y.var(axis=0, ddof=1)
     alpha = my**2 / vy

@@ -5,11 +5,16 @@ gives, bit for bit, the results of the same call made one pose at a time.
 The coefficients A = sin t / t, B = (1 - cos t) / t^2 and
 C = (t - sin t) / t^3 switch to their Taylor series below _SERIES_ANGLE,
 where the closed forms divide zero by zero or lose digits to cancellation;
-the series are evaluated only when some angle in the stack is that small.
-_exp_forward returns them with the rotations, and exp_vjp takes them from
-there instead of evaluating them a second time.
-_cross takes the products np.cross takes, so it gives np.cross's bits
-without its dispatch cost, which dominates on one 22-joint pose.
+the series, and the np.where that selects them, run only when some angle
+in the stack is that small. _exp_forward returns them with the rotations,
+and exp_vjp takes them from there instead of evaluating them a second time.
+
+On one 22-joint pose numpy's per-call dispatch costs more than the
+arithmetic, so the kernels make few calls: [w]x is one gather of w by
+_SKEW_AT times the constant sign table _SKEW_SIGN, t^2 is one add.reduce
+of w * w over the last axis (the left-to-right sum w0^2 + w1^2 + w2^2),
+and _cross takes the products np.cross takes through two index gathers,
+so it gives np.cross's bits.
 """
 
 from __future__ import annotations
@@ -17,8 +22,20 @@ from __future__ import annotations
 import numpy as np
 
 _SERIES_ANGLE = 1e-3  # the series below are exact to 2e-22 relative here
-_EYE = np.eye(3)
-_EYE.flags.writeable = False
+
+
+def _constant(values) -> np.ndarray:
+    a = np.array(values)
+    a.flags.writeable = False
+    return a
+
+
+_EYE = _constant(np.eye(3))
+# [w]x[i, j] = _SKEW_SIGN[i, j] * w[_SKEW_AT[i, j]]
+_SKEW_AT = _constant([[0, 2, 1], [2, 0, 0], [1, 0, 0]])
+_SKEW_SIGN = _constant([[0.0, -1.0, 1.0], [1.0, 0.0, -1.0], [-1.0, 1.0, 0.0]])
+# (u x v)[i] = u[_NEXT[i]] v[_PREV[i]] - u[_PREV[i]] v[_NEXT[i]]
+_NEXT, _PREV = _constant([1, 2, 0]), _constant([2, 0, 1])
 
 
 def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -27,19 +44,18 @@ def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 def _cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """u x v over the last axis, from the products np.cross takes, so the same bits."""
-    return np.stack([u[..., 1] * v[..., 2] - u[..., 2] * v[..., 1],
-                     u[..., 2] * v[..., 0] - u[..., 0] * v[..., 2],
-                     u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]], axis=-1)
+    return u[..., _NEXT] * v[..., _PREV] - u[..., _PREV] * v[..., _NEXT]
 
 
 def _coefficients(theta: np.ndarray):
     """A, B, C of the exponential map and its Jacobian at angles theta."""
     small = theta < _SERIES_ANGLE
-    t = np.where(small, 1.0, theta)
+    any_small = small.any()
+    t = np.where(small, 1.0, theta) if any_small else theta
     sin_t = np.sin(t)
     half = np.sin(0.5 * t) / t  # B = 2 (sin(t/2) / t)^2 does not cancel
     a, b, c = sin_t / t, 2.0 * half * half, (t - sin_t) / t**3
-    if np.any(small):
+    if any_small:
         t2 = theta * theta
         a = np.where(small, 1.0 - t2 / 6.0 * (1.0 - t2 / 20.0), a)
         b = np.where(small, 0.5 - t2 / 24.0 * (1.0 - t2 / 30.0), b)
@@ -51,12 +67,10 @@ def _exp_forward(w):
     """exp(w) and the (A, B, C) it was built from, each (..., 1, 1), for exp_vjp."""
     w = np.asarray(w, dtype=float)
     # Row i of [w]x is np.cross(e_i, w) up to the signs of its zeros, which R
-    # cannot show: I + A [w]x adds +0 or 1 to them, and +0 + -0 = +0.
-    w0, w1, w2 = w[..., 0], w[..., 1], w[..., 2]
-    zero = np.zeros_like(w0)
-    skew = np.stack([zero, -w2, w1, w2, zero, -w0, -w1, w0, zero], axis=-1)
-    skew = skew.reshape(w.shape + (3,))
-    t2 = _dot(w, w)[..., None, None]
+    # cannot show: I + A [w]x adds 1 or +0 to them, and +0 + -0 = +0. The
+    # diagonal is 0 * w, so it is -0 where w < 0.
+    skew = w[..., _SKEW_AT] * _SKEW_SIGN
+    t2 = np.add.reduce(w * w, axis=-1)[..., None, None]
     coefficients = _coefficients(np.sqrt(t2))
     a, b, _ = coefficients
     return _EYE + a * skew + b * (w[..., :, None] * w[..., None, :] - t2 * _EYE), coefficients
@@ -133,8 +147,7 @@ def det3(m) -> np.ndarray:
 
 def det3_grad(m) -> np.ndarray:
     """Gradient of det3: row i is the cross product of the other two rows."""
-    m0, m1, m2 = m[..., 0, :], m[..., 1, :], m[..., 2, :]
-    return np.stack([_cross(m1, m2), _cross(m2, m0), _cross(m0, m1)], axis=-2)
+    return _cross(m[..., _NEXT, :], m[..., _PREV, :])
 
 
 def _floor(x: np.ndarray) -> np.ndarray:

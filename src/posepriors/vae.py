@@ -531,6 +531,15 @@ class VaeEnergyPrior(PosePrior):
         self.model = model
 
     @property
+    def model(self) -> VaeModel:
+        return self._model
+
+    @model.setter
+    def model(self, model: VaeModel) -> None:
+        self._model = model
+        self._last = None  # the memoized forward pass was the old model's
+
+    @property
     def dim(self) -> int:
         return self.model.pose_dim
 

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 
+from posepriors import rotations
 from posepriors.vae import TrainConfig
 
 
@@ -105,3 +106,36 @@ class Optimizer:
             vb[:] = b2 * vb + (1 - b2) * db**2
             layer.weight -= lr * (mw / corr1) / (np.sqrt(vw / corr2) + eps)
             layer.bias -= lr * (mb / corr1) / (np.sqrt(vb / corr2) + eps)
+
+
+# Reference forms of exp, exp_vjp and det3_grad through np.cross, with
+# every Taylor branch evaluated: the rotation kernels must give these bits
+# exactly.
+def coefficients_oracle(theta):
+    t2 = theta * theta
+    small = theta < 1e-3
+    t = np.where(small, 1.0, theta)
+    half = np.sin(0.5 * t) / t
+    a = np.where(small, 1.0 - t2 / 6.0 * (1.0 - t2 / 20.0), np.sin(t) / t)
+    b = np.where(small, 0.5 - t2 / 24.0 * (1.0 - t2 / 30.0), 2.0 * half * half)
+    c = np.where(small, (1.0 - t2 / 20.0 * (1.0 - t2 / 42.0)) / 6.0, (t - np.sin(t)) / t**3)
+    return a, b, c
+
+
+def exp_oracle(w):
+    skew = np.cross(np.eye(3), w[..., None, :])
+    t2 = rotations._dot(w, w)[..., None, None]
+    a, b, _ = coefficients_oracle(np.sqrt(t2))
+    return np.eye(3) + a * skew + b * (w[..., :, None] * w[..., None, :] - t2 * np.eye(3))
+
+
+def exp_vjp_oracle(w, r, g):
+    cols = np.cross(np.swapaxes(r, -1, -2), np.swapaxes(g, -1, -2))
+    a_vec = cols[..., 0, :] + cols[..., 1, :] + cols[..., 2, :]
+    a, b, c = coefficients_oracle(np.sqrt(rotations._dot(w, w))[..., None])
+    return a * a_vec - b * np.cross(w, a_vec) + c * rotations._dot(w, a_vec)[..., None] * w
+
+
+def det3_grad_oracle(m):
+    m0, m1, m2 = m[..., 0, :], m[..., 1, :], m[..., 2, :]
+    return np.stack([np.cross(m1, m2), np.cross(m2, m0), np.cross(m0, m1)], axis=-2)

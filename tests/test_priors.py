@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -164,6 +165,21 @@ class TestFitGamma:
         x = np.column_stack([rng.gamma(3.0, 1.0, 500), -rng.gamma(2.0, 2.0, 500)])
         model = fit_gamma(x)
         assert np.all(model.log_prob_many(x) > -np.inf)
+
+    def test_fit_holds_at_most_two_arrays_the_size_of_its_input(self):
+        # One (n, d) buffer for the square, the cube and y, and y.var's temporary.
+        x = np.random.default_rng(65).gamma(2.0, 1.0, (4000, 66))
+        was_tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            fit_gamma(x)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not was_tracing:
+                tracemalloc.stop()
+        assert peak <= 2.1 * x.nbytes
 
 
 class TestGammaLogProb:

@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 
 from posepriors import rotations
 
+from oracles import coefficients_oracle, det3_grad_oracle, exp_oracle, exp_vjp_oracle
+
 PROPERTY = settings(max_examples=100, derandomize=True, deadline=None, database=None)
 
 axes = (
@@ -107,47 +109,16 @@ def test_polar_is_a_rotation_with_exact_vjp(seed, reflect):
     assert np.abs(vjp(g) - fd).max() <= 1e-7 * max(1.0, np.abs(fd).max())
 
 
-# Reference forms of exp, exp_vjp and det3_grad through np.cross, with
-# every Taylor branch evaluated: the kernels must give these bits exactly.
-
-
-def _coefficients_oracle(theta):
-    t2 = theta * theta
-    small = theta < 1e-3
-    t = np.where(small, 1.0, theta)
-    half = np.sin(0.5 * t) / t
-    a = np.where(small, 1.0 - t2 / 6.0 * (1.0 - t2 / 20.0), np.sin(t) / t)
-    b = np.where(small, 0.5 - t2 / 24.0 * (1.0 - t2 / 30.0), 2.0 * half * half)
-    c = np.where(small, (1.0 - t2 / 20.0 * (1.0 - t2 / 42.0)) / 6.0, (t - np.sin(t)) / t**3)
-    return a, b, c
-
-
-def _exp_oracle(w):
-    skew = np.cross(np.eye(3), w[..., None, :])
-    t2 = rotations._dot(w, w)[..., None, None]
-    a, b, _ = _coefficients_oracle(np.sqrt(t2))
-    return np.eye(3) + a * skew + b * (w[..., :, None] * w[..., None, :] - t2 * np.eye(3))
-
-
-def _exp_vjp_oracle(w, r, g):
-    cols = np.cross(np.swapaxes(r, -1, -2), np.swapaxes(g, -1, -2))
-    a_vec = cols[..., 0, :] + cols[..., 1, :] + cols[..., 2, :]
-    a, b, c = _coefficients_oracle(np.sqrt(rotations._dot(w, w))[..., None])
-    return a * a_vec - b * np.cross(w, a_vec) + c * rotations._dot(w, a_vec)[..., None] * w
-
-
-def _det3_grad_oracle(m):
-    m0, m1, m2 = m[..., 0, :], m[..., 1, :], m[..., 2, :]
-    return np.stack([np.cross(m1, m2), np.cross(m2, m0), np.cross(m0, m1)], axis=-2)
-
-
 def _assert_kernels_keep_oracle_bits(w, g):
     r, coefficients = rotations._exp_forward(w)
-    assert r.tobytes() == rotations.exp(w).tobytes() == _exp_oracle(w).tobytes()
+    theta = np.sqrt(rotations._dot(w, w))[..., None, None]
+    for got, want in zip(coefficients, coefficients_oracle(theta)):
+        assert got.tobytes() == want.tobytes()
+    assert r.tobytes() == rotations.exp(w).tobytes() == exp_oracle(w).tobytes()
     vjp = rotations.exp_vjp(w, r, coefficients, g)
-    assert vjp.tobytes() == _exp_vjp_oracle(w, r, g).tobytes()
+    assert vjp.tobytes() == exp_vjp_oracle(w, r, g).tobytes()
     for m in (r, g):
-        assert rotations.det3_grad(m).tobytes() == _det3_grad_oracle(m).tobytes()
+        assert rotations.det3_grad(m).tobytes() == det3_grad_oracle(m).tobytes()
 
 
 def test_kernels_keep_np_cross_bits_on_a_large_stack():
@@ -183,3 +154,19 @@ def test_kernels_keep_bits_at_pi():
     axis = rng.standard_normal((50, 1, 3))
     w = np.concatenate([w, math.pi * axis / np.linalg.norm(axis, axis=-1, keepdims=True)])
     _assert_kernels_keep_oracle_bits(w, rng.standard_normal((len(w), 1, 3, 3)))
+
+
+def test_kernels_keep_bits_on_one_pose():
+    # The shape a one-pose VAE query passes, alone and as a stack of one: signed
+    # zeros, both sides of the series switch, ordinary angles and pi.
+    rng = np.random.default_rng(4)
+    axis = rng.standard_normal((22, 3))
+    axis /= np.linalg.norm(axis, axis=-1, keepdims=True)
+    angles = np.array([1e-12, 1e-6, 9.99e-4, 1e-3, 1.001e-3, 0.3, 1.0, 2.0, 3.0, math.pi] * 2
+                      + [0.0, 0.0])[:, None]
+    w = axis * angles
+    w[-1] = -0.0
+    w[0, 1] = -0.0
+    g = rng.standard_normal((22, 3, 3))
+    _assert_kernels_keep_oracle_bits(w, g)
+    _assert_kernels_keep_oracle_bits(w[None], g[None])

@@ -569,6 +569,34 @@ class TestPriorEnergy:
         _, grad = vae_prior_energy(model, p)
         assert np.all(np.isfinite(grad))
 
+    def test_reassigned_model_answers_from_the_new_model(self):
+        old, new = tiny_model(seed=5), tiny_model(seed=6)
+        x = random_pose(np.random.default_rng(45))
+        prior = VaeEnergyPrior(old)
+        prior.log_prob(x)  # memoizes the old model's forward pass at x
+        prior.model = new
+        assert prior.model is new
+        assert prior.log_prob(x) == VaeEnergyPrior(new).log_prob(x)
+        assert prior.grad_log_prob(x).tobytes() == VaeEnergyPrior(new).grad_log_prob(x).tobytes()
+
+    def test_point_queries_keep_the_bits_of_the_oracle_composition(self):
+        """Value and gradient at one 22-joint pose equal, bit for bit, the np.cross
+        Rodrigues oracles composed with the encoder's mlp_forward and mlp_backward."""
+        model = build_vae(n_joints=22, latent_dim=8, hidden=(64, 64), seed=3)
+        prior = VaeEnergyPrior(model)
+        rng = np.random.default_rng(46)
+        for i in range(100):
+            x = rng.normal(0.0, (1e-5, 0.1, 0.7, 1.5)[i % 4], 66)
+            w = x.reshape(22, 3)
+            r = oracles.exp_oracle(w)
+            out, cache = vae.mlp_forward(model.encoder, r.reshape(1, -1))
+            mu = out[:, :8]
+            assert prior.log_prob(x) == float(-(mu[:, None, :] @ mu[:, :, None])[0, 0, 0])
+            g_out = np.concatenate([2.0 * mu, np.zeros_like(mu)], axis=1)
+            _, g_r = vae.mlp_backward(model.encoder, cache, g_out)
+            g_w = oracles.exp_vjp_oracle(w, r, g_r.reshape(r.shape))
+            assert prior.grad_log_prob(x).tobytes() == (-g_w.reshape(-1)).tobytes()
+
 
 def _memo_gmm():
     """A 6-d, 3-component mixture for the memo tests, its components close enough
