@@ -446,7 +446,9 @@ def matrices_to_axis_angle(r, orth_tol: float = 1e-6) -> np.ndarray:
 
 def wrap_angle(x):
     """Wrap angles to (-pi, pi]."""
-    return np.pi - np.mod(np.pi - np.asarray(x, dtype=float), 2.0 * np.pi)
+    out = np.pi - np.mod(np.pi - np.asarray(x, dtype=float), 2.0 * np.pi)
+    # np.mod rounds a remainder just below 2 pi up to 2 pi, leaving -pi: that angle is pi.
+    return np.where(out == -np.pi, np.pi, out)[()]
 
 
 def compute_deltas(seq: MotionSequence) -> list[TemporalDelta]:

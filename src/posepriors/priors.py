@@ -18,7 +18,7 @@ temporal mixture over (dt, dtheta) motion deltas.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -36,6 +36,13 @@ def _check_vec(x, dim: int) -> np.ndarray:
     if not np.isfinite(x).all():
         raise DataError("vector has non-finite entries")
     return x
+
+
+def _owned(value) -> np.ndarray:
+    """A read-only float copy of value: a model's own array, the caller's left writeable."""
+    value = np.array(value, dtype=float)
+    value.flags.writeable = False
+    return value
 
 
 # Rows whitened per GEMM. Blocks keep the temporaries in cache: on 10^4
@@ -94,8 +101,9 @@ class PosePrior:
     so a concurrent query never pairs one row's key with another's pass.
     Every one-row query reads and replaces it, a one-row batch included, so
     a gradient at the point just valued reuses that value's pass; larger
-    batches neither read nor replace it. The memo assumes the model is not
-    changed in place; VaeEnergyPrior drops it when its model is reassigned.
+    batches neither read nor replace it. Every family is a frozen dataclass
+    over read-only arrays it owns, its derived state written once in
+    __post_init__, so that state and the memo always match its fields.
     """
 
     PARAMS: dict[str, tuple[str, ...]] = {}
@@ -104,12 +112,12 @@ class PosePrior:
 
     @classmethod
     def _checked_params(cls, params, finite: bool = True) -> dict:
-        """Each PARAMS entry as a float array of its shape, where a symbol's first
+        """Each PARAMS entry as an _owned array of its shape, where a symbol's first
         use fixes its size; another shape, or NaN or inf when finite, is a ValueError."""
         sizes: dict[str, int] = {}
         checked = {}
         for name, symbols in cls.PARAMS.items():
-            value = np.asarray(params[name], dtype=float)
+            value = _owned(params[name])
             fits = value.ndim == len(symbols)
             for symbol, size in zip(symbols, value.shape):
                 fits = fits and sizes.setdefault(symbol, size) == size
@@ -126,8 +134,11 @@ class PosePrior:
 
     def _convert_params(self, finite: bool = True) -> None:
         """Every PARAMS field replaced by its _checked_params array."""
-        for name, value in self._checked_params(vars(self), finite).items():
-            setattr(self, name, value)
+        vars(self).update(self._checked_params(vars(self), finite))
+
+    def __reduce__(self):
+        """Copies and pickles are built by the constructor, so they come back frozen."""
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
     def to_params(self) -> dict:
         return {name: getattr(self, name) for name in self.PARAMS}
@@ -164,7 +175,7 @@ class PosePrior:
             return last[1]
         # Rows read from the key's bytes: no view of the caller's array is kept.
         forward = self._forward_rows(np.frombuffer(key).reshape(xs.shape))
-        self._last = (key, forward)
+        vars(self)["_last"] = (key, forward)
         return forward
 
     def mode(self) -> np.ndarray:
@@ -194,16 +205,16 @@ class _GaussianRows(PosePrior):
     """
 
     def _set_components(self, means: np.ndarray, chols, log_w) -> None:
-        self._means = means
-        self._inv, self._log_det = _stack_factors(chols)
-        self._log_norm = self.dim * LOG_2PI + self._log_det  # the sum _gaussian_log_joint forms
-        self._log_w = log_w
+        inv, log_det = _stack_factors(chols)
+        log_norm = self.dim * LOG_2PI + log_det  # the sum _gaussian_log_joint forms
         # The value formula at maha = +0 bounds every computed value. A logsumexp
         # of one term is exact; of several it rounds, hence a slack of 4500 ulp
         # relative per extra term, far below any data term.
-        peaks = np.atleast_1d(log_w - 0.5 * (self._log_norm + 0.0))
+        peaks = np.atleast_1d(log_w - 0.5 * (log_norm + 0.0))
         top = float(_logsumexp(peaks[None], axis=1)[0])
-        self.log_prob_bound = top + (len(peaks) - 1) * 1e-12 * (1.0 + abs(top))
+        vars(self).update(_means=means, _inv=inv, _log_det=log_det, _log_norm=log_norm,
+                          _log_w=log_w,
+                          log_prob_bound=top + (len(peaks) - 1) * 1e-12 * (1.0 + abs(top)))
 
     def _forward_rows(self, xs: np.ndarray) -> np.ndarray:
         """(n, k, d) whitened residuals L_i^-1 (x - mu_i)."""
@@ -221,9 +232,10 @@ class _GaussianRows(PosePrior):
 # Multivariate normal
 
 
-@dataclass
+@dataclass(frozen=True)
 class MvnModel(_GaussianRows):
-    """Gaussian over pose vectors; covariance kept with its Cholesky factor."""
+    """Gaussian over pose vectors; covariance kept with its Cholesky factor,
+    which must factor cov + chol.jitter_applied * I (mvn_from_moments builds both)."""
 
     MODEL_TYPE = "mvn"
     PARAMS = {"mean": ("d",), "cov": ("d", "d")}
@@ -235,6 +247,11 @@ class MvnModel(_GaussianRows):
 
     def __post_init__(self):
         self._convert_params()
+        factored = self.cov + self.chol.jitter_applied * np.eye(self.dim)
+        lower = self.chol.lower
+        if (lower.shape != factored.shape or np.abs(lower @ lower.T - factored).max()
+                > 1e-12 * np.abs(factored).max()):
+            raise ValueError("chol does not factor cov; build the model with mvn_from_moments")
         self._set_components(self.mean[None], [self.chol], 0.0)
 
     @property
@@ -258,7 +275,8 @@ class MvnModel(_GaussianRows):
     def from_params(cls, params, meta) -> "MvnModel":
         params = cls._checked_params(params)  # before cov is symmetrized and factored
         model = mvn_from_moments(params["mean"], params["cov"])
-        model.fit_meta = dict(meta)
+        model.fit_meta.clear()
+        model.fit_meta.update(meta)
         return model
 
 
@@ -288,7 +306,7 @@ def fit_mvn(data) -> MvnModel:
 # Per-dimension gamma
 
 
-@dataclass
+@dataclass(frozen=True)
 class GammaModel(PosePrior):
     """Independent gamma per dimension with sign and shift.
 
@@ -313,7 +331,7 @@ class GammaModel(PosePrior):
         if not np.all(np.isin(self.sign, (-1.0, 1.0))):
             raise ValueError("sign entries must be -1 or +1")
         # Normalizing constant is fixed per model; lgamma once, not per query.
-        self._log_norm = float(
+        vars(self)["_log_norm"] = float(
             np.sum(self.alpha * np.log(self.beta))
             - sum(math.lgamma(a) for a in self.alpha)
         )
@@ -392,7 +410,7 @@ def fit_gamma(data, margin: float = 1e-6) -> GammaModel:
 # Gaussian mixture
 
 
-@dataclass
+@dataclass(frozen=True)
 class GmmModel(_GaussianRows):
     """Mixture of full-covariance Gaussians; weights kept normalized."""
 
@@ -413,8 +431,8 @@ class GmmModel(_GaussianRows):
         # already sum to one up to rounding are kept bit for bit, so a saved
         # mixture loads back with the weights it was written with.
         if abs(total - 1.0) > self.weights.size * np.finfo(float).eps:
-            self.weights = self.weights / total
-        self._chols = [linalg.cholesky(c) for c in self.covs]
+            vars(self)["weights"] = _owned(self.weights / total)
+        vars(self)["_chols"] = [linalg.cholesky(c) for c in self.covs]
         self._set_components(self.means, self._chols, np.log(self.weights))
 
     @property
@@ -569,6 +587,7 @@ def fit_gmm_em(data, k: int, seed: int = 0, reg: float = 1e-6, tol: float = 1e-8
 # Temporal mixture over motion deltas
 
 
+@dataclass(frozen=True)
 class TemporalGmmModel(GmmModel):
     """GMM over stacked (dt, dtheta) vectors of dimension 1 + D."""
 
@@ -597,7 +616,7 @@ def fit_temporal_gmm(deltas, k: int, seed: int = 0, reg: float = 1e-6,
 # Soft box limits
 
 
-@dataclass
+@dataclass(frozen=True)
 class BoxLimitModel(PosePrior):
     """Soft joint-angle box: quadratic log-penalty outside [lo, hi] per dim.
 
@@ -616,7 +635,7 @@ class BoxLimitModel(PosePrior):
 
     def __post_init__(self):
         self._convert_params(finite=False)  # limits may be infinite; the rules below fail on NaN
-        self.stiffness = float(self.stiffness)
+        vars(self)["stiffness"] = float(self.stiffness)
         if not np.all(self.lo < self.hi):
             raise ValueError("requires lo < hi in every dimension")
         if not 0.0 < self.stiffness < math.inf:

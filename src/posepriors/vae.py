@@ -41,7 +41,7 @@ LOGVAR_CLAMP = 10.0
 # MLP parameters
 
 
-@dataclass
+@dataclass(frozen=True)
 class MlpLayer:
     weight: np.ndarray  # (out, in)
     bias: np.ndarray  # (out,)
@@ -49,19 +49,20 @@ class MlpLayer:
 
     def __post_init__(self):
         # C order, as a JSON load gives: the layout decides a row product's bits.
-        self.weight = np.ascontiguousarray(self.weight, dtype=float)
-        self.bias = np.ascontiguousarray(self.bias, dtype=float)
+        vars(self).update(weight=np.ascontiguousarray(self.weight, dtype=float),
+                          bias=np.ascontiguousarray(self.bias, dtype=float))
         if self.activation not in ("tanh", "identity"):
             raise ValueError(f"unknown activation {self.activation!r}")
         if self.weight.ndim != 2 or self.bias.shape != (self.weight.shape[0],):
             raise ValueError("inconsistent layer shapes")
 
 
-@dataclass
+@dataclass(frozen=True)
 class MlpParams:
-    layers: list
+    layers: tuple
 
     def __post_init__(self):
+        vars(self)["layers"] = tuple(self.layers)
         if not self.layers:
             raise ValueError("an MLP needs at least one layer")
         for prev, nxt in zip(self.layers, self.layers[1:]):
@@ -161,7 +162,7 @@ class LossWeights:
                 raise ValueError(f"{name} must be non-negative")
 
 
-@dataclass
+@dataclass(frozen=True)
 class VaeModel:
     MODEL_TYPE = "vae"
 
@@ -513,6 +514,7 @@ def vae_prior_energy(model: VaeModel, p) -> tuple[float, np.ndarray]:
     return -prior.log_prob(p), -prior.grad_log_prob(p)
 
 
+@dataclass(frozen=True)
 class VaeEnergyPrior(PosePrior):
     """Adapter holding a VaeModel to the PosePrior contract.
 
@@ -522,22 +524,17 @@ class VaeEnergyPrior(PosePrior):
     rows at once, each row with the bits of a one-pose call; the gradient
     pulls 2 mu back through the encoder and the closed-form Rodrigues VJP.
     A gradient at the point just valued reuses that value's forward pass
-    (PosePrior._forward) and runs only the pullbacks.
+    (PosePrior._forward) and runs only the pullbacks. Wrapping a model makes
+    its encoder arrays read-only, since the queries answer from them.
     """
 
+    model: VaeModel
     log_prob_bound = 0.0  # minus a squared norm
 
-    def __init__(self, model: VaeModel):
-        self.model = model
-
-    @property
-    def model(self) -> VaeModel:
-        return self._model
-
-    @model.setter
-    def model(self, model: VaeModel) -> None:
-        self._model = model
-        self._last = None  # the memoized forward pass was the old model's
+    def __post_init__(self):
+        for layer in self.model.encoder.layers:
+            layer.weight.flags.writeable = False
+            layer.bias.flags.writeable = False
 
     @property
     def dim(self) -> int:

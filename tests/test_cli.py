@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import re
@@ -6,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from posepriors import cli, modelio, posedata, vae
+from posepriors import cli, modelio, posedata, priors, vae
 from posepriors.cli import main
 from posepriors.posedata import MotionSequence, save_sequence_csv
 from posepriors.priors import BoxLimitModel
@@ -198,6 +199,17 @@ class TestTemporal:
                      "--out", str(out)]) == 0
         report = read_json(out)
         assert report["count"] == 59
+
+
+    def test_fit_takes_a_first_step_one_ulp_above_pi(self, tmp_path, capsys):
+        # wrap_angle once mapped this step to -pi, which TemporalDelta rejects.
+        step = float(np.nextafter(math.pi, 4.0))
+        poses = [[0.0, 0.0], [step, 0.1], [step + 0.2, 0.3], [step + 0.3, 0.2]]
+        path = tmp_path / "seq.csv"
+        save_sequence_csv(MotionSequence(timestamps=np.arange(4.0), poses=poses), path)
+        assert main(["fit", "--model", "temporal-gmm", "--data", str(path), "--k", "1"]) == 0
+        assert json.loads(capsys.readouterr().out)["params"]["means"][0][1] == pytest.approx(
+            (math.pi + 0.2 + 0.1) / 3)
 
 
 class TestAnalyze:
@@ -664,3 +676,71 @@ def test_box_with_infinite_limits_grad_checks_and_recovers(workdir, capsys, limi
     captured = capsys.readouterr()
     assert captured.err == ""
     assert json.loads(captured.out)["converged"]
+
+
+# case -> (family, replaced params, the rule the document breaks)
+OUT_OF_RANGE_DOCUMENTS = {
+    "gamma-zero-alpha": ("gamma", lambda p: {"alpha": [0.0, *p["alpha"][1:]]},
+                         "gamma shape and rate must be positive"),
+    "gamma-negative-beta": ("gamma", lambda p: {"beta": [-1.0, *p["beta"][1:]]},
+                            "gamma shape and rate must be positive"),
+    "gamma-sign-two": ("gamma", lambda p: {"sign": [2, *p["sign"][1:]]},
+                       "sign entries must be -1 or +1"),
+    "gmm-zero-weight": ("gmm", lambda p: {"weights": [0.0, *p["weights"][1:]]},
+                        "mixture weights must be positive"),
+}
+
+
+@pytest.mark.parametrize("case", OUT_OF_RANGE_DOCUMENTS)
+def test_out_of_range_model_document_is_data_error(tmp_path, capsys, case):
+    family, replaced, rule = OUT_OF_RANGE_DOCUMENTS[case]
+    doc = read_json(DATA_DIR / f"{family}.json")
+    doc["params"].update(replaced(doc["params"]))
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["grad-check", "--model", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        f"data error: {path}: malformed '{family}' model document: {rule}\n")
+
+
+@pytest.mark.parametrize("body, message", [
+    ("0.0,0.1,0.2\n", "sequence needs at least two timestamped poses"),
+    ("0.0,0.1,0.2\n1.0,nan,0.2\n2.0,0.1,0.3\n", "sequence has non-finite values"),
+])
+def test_faulty_sequence_file_is_data_error_naming_the_file(tmp_path, capsys, body, message):
+    path = tmp_path / "seq.csv"
+    path.write_text("# pose-csv v1\ntime_s,a,b\n" + body)
+    assert main(["fit", "--model", "temporal-gmm", "--data", str(path), "--k", "1"]) == 2
+    assert capsys.readouterr().err == f"data error: {path}: {message}\n"
+
+
+def test_one_row_is_too_few_for_a_mixture(tmp_path, capsys):
+    path = tmp_path / "d.csv"
+    path.write_text("# pose-csv v1\na,b\n0.5,0.1\n")
+    assert main(["fit", "--model", "gmm", "--data", str(path), "--k", "1"]) == 2
+    assert capsys.readouterr().err == "data error: fit_gmm_em needs at least 2 samples\n"
+
+
+def test_covariance_overflow_is_data_error(tmp_path, capsys):
+    path = tmp_path / "d.csv"
+    path.write_text("# pose-csv v1\na,b\n1e200,0.0\n-1e200,1.0\n")
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        assert main(["fit", "--model", "mvn", "--data", str(path)]) == 2
+    assert capsys.readouterr().err == "data error: matrix has non-finite entries\n"
+
+
+def test_em_fails_numerically_when_a_component_keeps_collapsing(workdir, capsys, monkeypatch):
+    # No data set found reaches this. Here the last component scores -inf at every
+    # point, so it collapses at each E-step, and every score rises by 1 per E-step,
+    # so the log-likelihood keeps rising and EM does not stop as converged first.
+    joint, calls = priors._gaussian_log_joint, itertools.count()
+
+    def last_dead(*args):
+        comp = joint(*args) + next(calls)
+        comp[:, -1] = -math.inf
+        return comp
+
+    monkeypatch.setattr(priors, "_gaussian_log_joint", last_dead)
+    assert main(["fit", "--model", "gmm", "--data", str(workdir / "d.csv"), "--k", "2"]) == 3
+    assert capsys.readouterr().err == (
+        "numerical failure: mixture component collapsed after 3 re-seeds\n")

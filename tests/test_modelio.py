@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from pathlib import Path
 
@@ -94,8 +95,8 @@ class TestRoundTrip:
         assert isinstance(modelio.load_model(path), TemporalGmmModel)
 
     def test_vae_loss_weights_survive(self, tmp_path):
-        model = all_models()["vae"]
-        model.loss_weights = vae.LossWeights(1.0, 0.5, 2.0, 0.25, 1.5)
+        model = dataclasses.replace(all_models()["vae"],
+                                    loss_weights=vae.LossWeights(1.0, 0.5, 2.0, 0.25, 1.5))
         path = tmp_path / "v.json"
         modelio.save_model(model, path)
         loaded = modelio.load_model(path)

@@ -532,6 +532,11 @@ class TestRotations:
 
 
 class TestDeltas:
+    def test_pose_count_must_match_timestamp_count(self):
+        # A sequence file pairs each pose with its timestamp; only a caller can split them.
+        with pytest.raises(DataError, match="pose count does not match timestamp count"):
+            MotionSequence(timestamps=[0.0, 1.0, 2.0], poses=[[0.0], [0.1]])
+
     def test_constant_sequence(self):
         seq = MotionSequence(
             timestamps=np.arange(4) / 30.0, poses=np.tile([0.1, -0.2], (4, 1))
@@ -562,12 +567,27 @@ class TestDeltas:
         assert wrap_angle(3 * math.pi / 2) == pytest.approx(-math.pi / 2)
 
     def test_wrap_edge_values_pinned(self):
-        for x in (math.pi, -math.pi, 3 * math.pi, -3 * math.pi, np.nextafter(-math.pi, -4.0)):
+        for x in (math.pi, -math.pi, 3 * math.pi, -3 * math.pi, np.nextafter(-math.pi, -4.0),
+                  np.nextafter(math.pi, 4.0)):
             assert wrap_angle(x) == math.pi
-        # One ulp above pi rounds to the float -pi, just outside (-pi, pi].
-        assert wrap_angle(np.nextafter(math.pi, 4.0)) == -3.141592653589793
         zero = wrap_angle(-0.0)
         assert zero == 0.0 and math.copysign(1.0, zero) == 1.0
+
+    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @given(st.one_of(
+        st.sampled_from([np.nextafter(math.pi, 4.0), np.nextafter(-math.pi, -4.0),
+                         np.nextafter(math.pi, 0.0), np.nextafter(-math.pi, 0.0),
+                         3.141592653589794, 5e-324, -5e-324, 0.0, -0.0]),
+        st.builds(lambda k, side: np.nextafter(k * math.pi, math.copysign(math.inf, side))
+                  if side else k * math.pi,
+                  st.integers(-1001, 1001).map(lambda k: 2 * k + 1), st.integers(-1, 1)),
+        st.floats(-1e6, 1e6),
+    ))
+    def test_wrap_lands_in_half_open_range_a_whole_turn_away(self, x):
+        out = wrap_angle(x)
+        assert -math.pi < out <= math.pi
+        turns = (x - out) / (2.0 * math.pi)
+        assert abs(x - out - 2.0 * math.pi * round(turns)) <= 1e-12 * max(1.0, abs(x))
 
     def test_count_preserved(self):
         rng = np.random.default_rng(23)

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import math
 from types import SimpleNamespace
 
@@ -569,15 +570,20 @@ class TestPriorEnergy:
         _, grad = vae_prior_energy(model, p)
         assert np.all(np.isfinite(grad))
 
-    def test_reassigned_model_answers_from_the_new_model(self):
+    def test_reassigning_the_model_raises(self):
         old, new = tiny_model(seed=5), tiny_model(seed=6)
         x = random_pose(np.random.default_rng(45))
         prior = VaeEnergyPrior(old)
-        prior.log_prob(x)  # memoizes the old model's forward pass at x
-        prior.model = new
-        assert prior.model is new
-        assert prior.log_prob(x) == VaeEnergyPrior(new).log_prob(x)
-        assert prior.grad_log_prob(x).tobytes() == VaeEnergyPrior(new).grad_log_prob(x).tobytes()
+        value, grad = prior.log_prob(x), prior.grad_log_prob(x)  # memoizes old's forward pass
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            prior.model = new
+        assert prior.model is old
+        assert prior.log_prob(x) == value
+        assert prior.grad_log_prob(x).tobytes() == grad.tobytes()
+        out, _ = vae.mlp_forward(new.encoder, rotations.exp(x.reshape(-1, 3)).reshape(1, -1))
+        mu = out[0, : new.latent_dim]
+        assert VaeEnergyPrior(new).log_prob(x) == pytest.approx(-(mu @ mu), rel=1e-12)
+        assert VaeEnergyPrior(new).log_prob(x) != value
 
     def test_point_queries_keep_the_bits_of_the_oracle_composition(self):
         """Value and gradient at one 22-joint pose equal, bit for bit, the np.cross
