@@ -57,6 +57,7 @@ class CholFactor:
     2 * sum(log(diag(L))). jitter_applied records the diagonal shift that
     was needed to reach positive definiteness (0.0 for healthy input).
     inverse is L^-1, computed once so every solve is a matrix product.
+    The factor keeps its own copy of lower; lower and inverse are read-only.
     """
 
     lower: np.ndarray
@@ -65,7 +66,10 @@ class CholFactor:
     inverse: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "inverse", np.tril(np.linalg.inv(self.lower)))
+        lower = np.array(self.lower, dtype=float)
+        inverse = np.tril(np.linalg.inv(lower))
+        lower.flags.writeable = inverse.flags.writeable = False
+        vars(self).update(lower=lower, inverse=inverse)
 
     @property
     def n(self) -> int:

@@ -17,6 +17,7 @@ temporal mixture over (dt, dtheta) motion deltas.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field, fields
 
@@ -133,8 +134,9 @@ class PosePrior:
         return checked
 
     def _convert_params(self, finite: bool = True) -> None:
-        """Every PARAMS field replaced by its _checked_params array."""
-        vars(self).update(self._checked_params(vars(self), finite))
+        """Every PARAMS field replaced by its _checked_params array, fit_meta by its own copy."""
+        vars(self).update(self._checked_params(vars(self), finite),
+                          fit_meta=copy.deepcopy(self.fit_meta))
 
     def __reduce__(self):
         """Copies and pickles are built by the constructor, so they come back frozen."""
@@ -234,24 +236,20 @@ class _GaussianRows(PosePrior):
 
 @dataclass(frozen=True)
 class MvnModel(_GaussianRows):
-    """Gaussian over pose vectors; covariance kept with its Cholesky factor,
-    which must factor cov + chol.jitter_applied * I (mvn_from_moments builds both)."""
+    """Gaussian over pose vectors. The constructor keeps cov symmetrized and
+    factors it with jitter escalation; chol is that factor, of cov + chol.jitter_applied * I."""
 
     MODEL_TYPE = "mvn"
     PARAMS = {"mean": ("d",), "cov": ("d", "d")}
 
     mean: np.ndarray
     cov: np.ndarray
-    chol: linalg.CholFactor
     fit_meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self._convert_params()
-        factored = self.cov + self.chol.jitter_applied * np.eye(self.dim)
-        lower = self.chol.lower
-        if (lower.shape != factored.shape or np.abs(lower @ lower.T - factored).max()
-                > 1e-12 * np.abs(factored).max()):
-            raise ValueError("chol does not factor cov; build the model with mvn_from_moments")
+        self._convert_params()  # first, so a bad document fails naming its key
+        vars(self)["cov"] = _owned(linalg.symmetrize(self.cov))
+        vars(self)["chol"] = linalg.cholesky(self.cov)
         self._set_components(self.mean[None], [self.chol], 0.0)
 
     @property
@@ -271,22 +269,12 @@ class MvnModel(_GaussianRows):
     def mode(self) -> np.ndarray:
         return self.mean.copy()
 
-    @classmethod
-    def from_params(cls, params, meta) -> "MvnModel":
-        params = cls._checked_params(params)  # before cov is symmetrized and factored
-        model = mvn_from_moments(params["mean"], params["cov"])
-        model.fit_meta.clear()
-        model.fit_meta.update(meta)
-        return model
 
-
-def mvn_from_moments(mean, cov, base_jitter: float = 1e-10, fit_meta=None) -> MvnModel:
-    mean = np.asarray(mean, dtype=float)
-    cov = linalg.symmetrize(cov)
-    chol = linalg.cholesky(cov, base_jitter=base_jitter)
-    meta = dict(fit_meta or {})
-    meta.setdefault("jitter", chol.jitter_applied)
-    return MvnModel(mean=mean, cov=cov, chol=chol, fit_meta=meta)
+def mvn_from_moments(mean, cov, fit_meta=None) -> MvnModel:
+    """The normal of these moments, its fit_meta["jitter"] set to its factor's jitter."""
+    model = MvnModel(mean, linalg.symmetrize(cov), fit_meta or {})
+    model.fit_meta.setdefault("jitter", model.chol.jitter_applied)
+    return model
 
 
 def fit_mvn(data) -> MvnModel:
@@ -463,9 +451,11 @@ class GmmModel(_GaussianRows):
 
     def support_points(self, count: int, rng: np.random.Generator, h: float) -> np.ndarray:
         comps = rng.choice(self.n_components, size=count, p=self.weights)
+        z = rng.standard_normal((count, self.dim))  # the draws a loop of (dim,) draws takes
         points = np.empty((count, self.dim))
-        for row, i in enumerate(comps):
-            points[row] = self.means[i] + self._chols[i].lower @ rng.standard_normal(self.dim)
+        for i, chol in enumerate(self._chols):
+            rows = comps == i  # one stacked gemv per row, as L_i @ z_row alone
+            points[rows] = self.means[i] + np.matmul(chol.lower, z[rows][..., None])[..., 0]
         return points
 
     def mode(self) -> np.ndarray:

@@ -148,7 +148,7 @@ def mlp_from_doc(doc, key: str) -> MlpParams:
 # Model
 
 
-@dataclass
+@dataclass(frozen=True)
 class LossWeights:
     w_kl: float = 1.0
     w_rec: float = 1.0
@@ -174,6 +174,7 @@ class VaeModel:
     fit_meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        vars(self)["fit_meta"] = copy.deepcopy(self.fit_meta)  # its own, a replace's too
         if self.input_dim % 9 != 0:
             raise ValueError("input_dim must be a multiple of 9")
         if self.encoder.out_dim != 2 * self.latent_dim:

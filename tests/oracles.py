@@ -66,6 +66,15 @@ def gmm_grad(gmm, chols, x: np.ndarray) -> np.ndarray:
     return -sum(r_i * (w @ chol.inverse) for r_i, w, chol in zip(r, whitened, chols))
 
 
+def gmm_support_points(gmm, chols, count: int, rng: np.random.Generator) -> np.ndarray:
+    """The per-row draw GmmModel.support_points made before it grouped rows by component."""
+    comps = rng.choice(gmm.n_components, size=count, p=gmm.weights)
+    points = np.empty((count, gmm.dim))
+    for row, i in enumerate(comps):
+        points[row] = gmm.means[i] + chols[i].lower @ rng.standard_normal(gmm.dim)
+    return points
+
+
 def worst_relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
     """The per-point loop gradcheck.max_relative_error reduced its gradients with."""
     worst = 0.0

@@ -91,6 +91,7 @@ class TestGen:
         {"dims": [1], "count": 3},
         {"dims": {"a": 1}, "count": 3},
         {"dims": SPEC_DOC["dims"], "count": "many"},
+        {"dims": [], "count": 3},
     ])
     def test_malformed_spec_is_data_error_naming_the_file(self, workdir, capsys, doc):
         spec = workdir / "bad.json"
@@ -370,6 +371,10 @@ class TestRecover:
         ({"values": "abc", "noise_sigma": 0.3}, "could not convert string to float: 'abc'"),
         ({"values": [0.5, -0.9, 0.0, 0.2, 0.1, -0.3], "noise_sigma": -1},
          "noise_sigma must be positive"),
+        ({"values": [0.5, -0.9, 0.0, 0.2, 0.1, -0.3], "noise_sigma": 0.3, "mask": [True] * 5},
+         "mask length must match values"),
+        ({"values": [0.5, math.nan, 0.0, 0.2, 0.1, -0.3], "noise_sigma": 0.3},
+         "observation values must be a finite vector"),
     ])
     def test_malformed_obs_names_the_file(self, workdir, capsys, doc, detail):
         model_path = workdir / "m.json"
@@ -457,6 +462,17 @@ def test_non_positive_count_flag_is_usage_error(workdir, capsys, argv, flag, val
     assert main([a.format(dir=workdir) for a in argv] + [flag, value]) == 1
     assert capsys.readouterr().err == (
         f"usage error: argument {flag}: must be a positive integer, got {value!r}\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["analyze", "--data", "{dir}/d.csv", "--dims", "0,9"], "dims subset out of range"),
+    (["fit", "--model", "mvn", "--data", "{dir}/marker.csv"],
+     "{dir}/marker.csv: missing header line"),
+], ids=["analyze-dims", "marker-only-csv"])
+def test_faulty_input_is_data_error(workdir, capsys, argv, message):
+    (workdir / "marker.csv").write_text("# pose-csv v1\n")
+    assert main([a.format(dir=workdir) for a in argv]) == 2
+    assert capsys.readouterr().err == f"data error: {message.format(dir=workdir)}\n"
 
 
 def test_zero_hidden_width_is_usage_error(workdir, capsys):
@@ -688,6 +704,25 @@ OUT_OF_RANGE_DOCUMENTS = {
                        "sign entries must be -1 or +1"),
     "gmm-zero-weight": ("gmm", lambda p: {"weights": [0.0, *p["weights"][1:]]},
                         "mixture weights must be positive"),
+    "vae-relu": ("vae", lambda p: {"encoder": [{**p["encoder"][0], "activation": "relu"},
+                                               *p["encoder"][1:]]},
+                 "encoder: unknown activation 'relu'"),
+    "vae-short-bias": ("vae", lambda p: {"encoder": [{**p["encoder"][0], "bias": [0.0]},
+                                                     *p["encoder"][1:]]},
+                       "encoder: inconsistent layer shapes"),
+    "vae-unchained": ("vae", lambda p: {"encoder": [p["encoder"][0], {
+        **p["encoder"][1], "weight": [[*row, 0.0] for row in p["encoder"][1]["weight"]]}]},
+                      "encoder: adjacent layer dimensions do not chain"),
+    "vae-negative-w-kl": ("vae", lambda p: {"loss_weights": {**p["loss_weights"], "w_kl": -1}},
+                          "w_kl must be non-negative"),
+    "vae-input-dim-10": ("vae", lambda p: {"input_dim": 10}, "input_dim must be a multiple of 9"),
+    "vae-latent-dim-3": ("vae", lambda p: {"latent_dim": 3},
+                         "encoder must emit 2 * latent_dim values"),
+    "vae-input-dim-18": ("vae", lambda p: {"input_dim": 18},
+                         "encoder/decoder dimensions do not match input_dim"),
+    "vae-wide-decoder": ("vae", lambda p: {"decoder": [{
+        **p["decoder"][0], "weight": [[*row, 0.0] for row in p["decoder"][0]["weight"]]},
+        *p["decoder"][1:]]}, "decoder input must match latent_dim"),
 }
 
 

@@ -2,8 +2,9 @@
 
 Each family is built four ways (constructed from the caller's arrays, loaded
 from tests/data, deep-copied and pickled). An in-place edit of a parameter
-array and a reassignment of a field both raise, and dataclasses.replace
-answers as the same model built afresh from its edited document.
+array or of its Cholesky factor and a reassignment of a field all raise, and
+dataclasses.replace answers as the same model built afresh from its edited
+document, with its own fit_meta.
 """
 
 import copy
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 
 from posepriors import linalg, modelio
 from posepriors.priors import BoxLimitModel, GammaModel, GmmModel, MvnModel, TemporalGmmModel
-from posepriors.vae import MlpLayer, MlpParams, VaeEnergyPrior, build_vae
+from posepriors.vae import LossWeights, MlpLayer, MlpParams, VaeEnergyPrior, build_vae
 
 DATA = Path(__file__).resolve().parent / "data"
 FAMILIES = ["mvn", "gamma", "gmm", "temporal_gmm", "box", "vae"]
@@ -34,7 +35,7 @@ def _inputs(name: str) -> dict:
     mixture = dict(weights=np.array([0.4, 0.6]), means=rng.standard_normal((2, 3)),
                    covs=np.stack([cov, 2.0 * cov]))
     return {
-        "mvn": dict(mean=rng.standard_normal(3), cov=cov, chol=linalg.cholesky(cov)),
+        "mvn": dict(mean=rng.standard_normal(3), cov=cov),
         "gamma": dict(alpha=np.array([2.0, 1.5, 3.0]), beta=np.array([1.0, 2.0, 0.5]),
                       sign=np.array([1.0, -1.0, 1.0]), shift=np.array([0.1, -0.2, 0.0])),
         "gmm": mixture,
@@ -64,10 +65,13 @@ def _build(name: str, way: str):
 
 
 def _arrays(model) -> list:
-    """Every array a query of the model answers from: its PARAMS arrays, or the encoder's."""
+    """Every array a query of the model answers from: its PARAMS arrays and their
+    Cholesky factors, or the encoder's."""
     if isinstance(model, VaeEnergyPrior):
         return [a for layer in model.model.encoder.layers for a in (layer.weight, layer.bias)]
-    return [getattr(model, name) for name in model.PARAMS if name != "stiffness"]  # a float
+    factors = [model.chol] if isinstance(model, MvnModel) else getattr(model, "_chols", [])
+    return [*(getattr(model, name) for name in model.PARAMS if name != "stiffness"),  # a float
+            *(a for chol in factors for a in (chol.lower, chol.inverse))]
 
 
 def _values(model) -> list:
@@ -131,6 +135,7 @@ def test_an_edit_raises_and_replace_builds_a_fresh_model(name, way, edit, index,
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(held, f.name, getattr(held, f.name))
     assert _answers(model, points) == before
+    assert _answers(copy.deepcopy(model), points) == before
 
     if way == "constructed" and name != "vae":
         for key, array in _inputs(name).items():
@@ -141,25 +146,36 @@ def test_an_edit_raises_and_replace_builds_a_fresh_model(name, way, edit, index,
     for key in ["model"] if name == "vae" else model.PARAMS:
         new = _vae_model(2 + index) if key == "model" else _edited(key, getattr(model, key), step)
         fresh = _fresh(model, key, new)
-        if name == "mvn" and key == "cov":  # chol factors the old cov; mvn_from_moments builds anew
-            with pytest.raises(ValueError, match="chol"):
-                dataclasses.replace(model, cov=new)
-            continue
         replaced = dataclasses.replace(model, **{key: new})
         points = fresh.support_points(4, np.random.default_rng(index), 1e-6)
         assert _answers(replaced, points) == _answers(fresh, points)
 
 
-@pytest.mark.parametrize("cls", [*modelio.FAMILIES.values(), VaeEnergyPrior, MlpParams, MlpLayer],
-                         ids=lambda cls: cls.__name__)
+@pytest.mark.parametrize("cls", [*modelio.FAMILIES.values(), VaeEnergyPrior, MlpParams, MlpLayer,
+                                 LossWeights], ids=lambda cls: cls.__name__)
 def test_every_model_class_is_a_frozen_dataclass(cls):
     """A class not itself declared frozen would let attributes be set on its instances."""
     assert "__dataclass_params__" in vars(cls) and cls.__dataclass_params__.frozen
 
 
-def test_a_factor_of_another_covariance_is_rejected():
-    model = MvnModel(**_inputs("mvn"))
-    with pytest.raises(ValueError, match="chol does not factor cov"):
-        dataclasses.replace(model, cov=4.0 * model.cov)
-    with pytest.raises(ValueError, match="chol does not factor cov"):
-        MvnModel(mean=model.mean, cov=model.cov, chol=linalg.cholesky(2.0 * model.cov))
+@pytest.mark.parametrize("name", FAMILIES)
+def test_a_replaced_model_keeps_its_own_fit_meta(name):
+    model = modelio.load_model(DATA / f"{name}.json")
+    doc = modelio.canonical_dumps(modelio.model_to_doc(model))
+    replaced = dataclasses.replace(model)
+    replaced.fit_meta["seed"] = 99
+    for value in replaced.fit_meta.values():
+        if isinstance(value, list):
+            value.append(0.0)
+    assert modelio.canonical_dumps(modelio.model_to_doc(model)) == doc
+
+
+def test_a_factor_is_read_only_and_leaves_the_callers_array_writeable():
+    a = np.array([[4.0, 1.0], [1.0, 3.0]])
+    lower = np.linalg.cholesky(a)
+    for factor in (linalg.cholesky(a), linalg.CholFactor(lower, 0.0, 0.0)):
+        for array in (factor.lower, factor.inverse):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0] = 0.0
+    assert lower.flags.writeable
+    assert not np.shares_memory(lower, linalg.CholFactor(lower, 0.0, 0.0).lower)

@@ -1,9 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import posepriors
 from posepriors import linalg, modelio, priors
 from posepriors.posedata import MotionSequence, compute_deltas
 from posepriors.priors import (
@@ -304,6 +309,34 @@ class TestBitsAgainstPerComponentOracle:
         monkeypatch.setattr(priors, "_logsumexp", oracles.logsumexp)
         oracle = fit_gmm_em(x, k, seed=2, max_iter=8)
         assert fitted == modelio.canonical_dumps(modelio.model_to_doc(oracle))
+
+
+# A fresh interpreter per BLAS thread count: OpenBLAS reads it once, when numpy loads it.
+GROUPED_DRAW = """
+import numpy as np
+import oracles
+from posepriors import linalg
+from posepriors.priors import GmmModel
+
+rng = np.random.default_rng(5)
+covs = np.stack([b @ b.T / 66 + 0.1 * np.eye(66) for b in rng.standard_normal((3, 66, 66))])
+gmm = GmmModel(weights=np.array([0.2, 0.5, 0.3]), means=rng.standard_normal((3, 66)), covs=covs)
+chols = [linalg.cholesky(c) for c in covs]
+for n in (1, 7, 100, 1000, 10000):
+    got = gmm.support_points(n, np.random.default_rng(n), 1e-6)
+    want = oracles.gmm_support_points(gmm, chols, n, np.random.default_rng(n))
+    assert got.tobytes() == want.tobytes(), n
+"""
+
+
+@pytest.mark.parametrize("threads", (1, 2))
+def test_support_points_keep_the_per_row_draws_bits(threads):
+    paths = [Path(posepriors.__file__).resolve().parents[1], Path(__file__).resolve().parent]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), PYTHONPATH=os.pathsep.join(
+        filter(None, [*map(str, paths), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", GROUPED_DRAW], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
 
 
 def constant_velocity_sequence(n=90, noise=2e-3, seed=12):

@@ -27,7 +27,7 @@ def test_family_defines_no_query_method(cls):
 
 
 # A family writes or reads its own JSON only where that differs from its PARAMS fields.
-OWN_PARAMS_METHODS = {"GammaModel": {"to_params"}, "MvnModel": {"from_params"}}
+OWN_PARAMS_METHODS = {"GammaModel": {"to_params"}}
 
 
 @pytest.mark.parametrize("model_type", [name for name, cls in modelio.FAMILIES.items()

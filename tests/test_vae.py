@@ -323,8 +323,7 @@ class TestBackward:
 
     @pytest.mark.parametrize("term", ["w_kl", "w_rec", "w_orth", "w_det1", "w_reg"])
     def test_finite_difference_per_term(self, term):
-        weights = LossWeights(0.0, 0.0, 0.0, 0.0, 0.0)
-        setattr(weights, term, 1.0)
+        weights = dataclasses.replace(LossWeights(0.0, 0.0, 0.0, 0.0, 0.0), **{term: 1.0})
         model = tiny_model(hidden=(8,), seed=6, weights=weights)
         r = axis_angle_to_matrices(random_pose(np.random.default_rng(33)))
         assert _fd_param_sweep(model, r, seed=7) < 1e-3
