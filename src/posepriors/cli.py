@@ -91,22 +91,29 @@ def _em_options(args) -> dict:
     return dict(seed=args.seed, reg=args.reg, tol=args.tol, max_iter=args.max_iter)
 
 
-# --model family -> fit(args); the order is that of the --model choices.
+# --model family -> fit(data, args), data loaded by _cmd_fit; the order is that of the
+# --model choices.
 _FITTERS = {
-    "mvn": lambda args: priors.fit_mvn(posedata.load_pose_csv(args.data)),
-    "gamma": lambda args: priors.fit_gamma(posedata.load_pose_csv(args.data)),
-    "gmm": lambda args: priors.fit_gmm_em(
-        posedata.load_pose_csv(args.data), args.k, **_em_options(args)),
-    "temporal-gmm": lambda args: priors.fit_temporal_gmm(
-        posedata.compute_deltas(posedata.load_sequence_csv(args.data)), args.k,
-        **_em_options(args)),
-    "box": lambda args: priors.box_from_data(
-        posedata.load_pose_csv(args.data), stiffness=args.stiffness, margin=args.margin),
+    "mvn": lambda data, args: priors.fit_mvn(data),
+    "gamma": lambda data, args: priors.fit_gamma(data),
+    "gmm": lambda data, args: priors.fit_gmm_em(data, args.k, **_em_options(args)),
+    "temporal-gmm": lambda deltas, args: priors.fit_temporal_gmm(
+        deltas, args.k, **_em_options(args)),
+    "box": lambda data, args: priors.box_from_data(
+        data, stiffness=args.stiffness, margin=args.margin),
 }
 
 
 def _cmd_fit(args) -> int:
-    _emit(modelio.model_to_doc(_FITTERS[args.model](args)), args.out)
+    if args.model == "temporal-gmm":
+        data = posedata.compute_deltas(posedata.load_sequence_csv(args.data))
+    else:
+        data = posedata.load_pose_csv(args.data)
+    try:
+        model = _FITTERS[args.model](data, args)
+    except DataError as exc:  # the loaded values are at fault, not a flag: name the file
+        raise DataError(f"{args.data}: {exc}") from None
+    _emit(modelio.model_to_doc(model), args.out)
     return 0
 
 

@@ -11,16 +11,21 @@ from __future__ import annotations
 import numpy as np
 
 
-def _finite_diff_batch(prior, xs: np.ndarray, h: float) -> np.ndarray:
-    """Central differences for all points at once via log_prob_many."""
-    n, d = xs.shape
-    shifted = np.repeat(xs, 2 * d, axis=0)
+def _stencil(xs: np.ndarray, h: float) -> np.ndarray:
+    """The (2 d n, d) rows x + h e_j and x - h e_j, for each point x and axis j in turn,
+    made by one broadcast add: the stencil is the only full-size array."""
+    d = xs.shape[1]
     offsets = np.zeros((2 * d, d))
     idx = np.arange(d)
     offsets[2 * idx, idx] = h
     offsets[2 * idx + 1, idx] = -h
-    shifted += np.tile(offsets, (n, 1))
-    values = prior.log_prob_many(shifted).reshape(n, d, 2)
+    return (xs[:, None, :] + offsets).reshape(-1, d)
+
+
+def _finite_diff_batch(prior, xs: np.ndarray, h: float) -> np.ndarray:
+    """Central differences for all points at once via log_prob_many."""
+    n, d = xs.shape
+    values = prior.log_prob_many(_stencil(xs, h)).reshape(n, d, 2)
     return (values[:, :, 0] - values[:, :, 1]) / (2.0 * h)
 
 

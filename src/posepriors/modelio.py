@@ -13,7 +13,7 @@ import json
 import numpy as np
 
 from . import priors, vae
-from .errors import DataError
+from .errors import DataError, NumericalError
 from .posedata import read_json, write_text
 
 MODEL_FORMAT = "pose-prior v1"
@@ -69,7 +69,7 @@ def model_from_doc(doc: dict):
     params, meta = doc.get("params", {}), doc.get("fit_metadata", {})
     try:
         return FAMILIES[model_type].from_params(params, meta)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, NumericalError) as exc:  # a cov it cannot factor
         raise DataError(f"malformed {model_type!r} model document: {exc}") from None
 
 

@@ -7,10 +7,12 @@ raw 66-dimensional Gaussian PDF underflows float64). PosePrior checks the
 input once; a family holds only the math, _log_prob_rows and _grad_rows
 on checked rows, and a point query is one row of them. Gaussian gradient
 rows and one-row values take their k products in one stacked call, the
-gemv each component alone would make, so every gradient row has its
-point gradient's bits; a batch of values takes one GEMM per component
-and 1024-row block, so a row can differ from its one-row value in its
-last bits. Families: soft box limits, multivariate normal,
+gemv each component alone would make, and a row's log-joint from those
+residuals, so every gradient row has its point gradient's bits; a batch
+of values takes one GEMM per component and 1024-row block, so a row can
+differ from its one-row value in its last bits. Either way the
+Mahalanobis form has one formula, einsum of the whitened rows with
+themselves. Families: soft box limits, multivariate normal,
 per-dimension gamma with sign/shift, Gaussian mixtures fit by EM, and a
 temporal mixture over (dt, dtheta) motion deltas.
 """
@@ -50,6 +52,14 @@ def _owned(value) -> np.ndarray:
 # 66-d rows this is about 1.5x faster than one product over all rows. The
 # block size fixes which rows share a GEMM, and so the bits of the rows.
 _ROW_BLOCK = 1024
+
+
+def _factor(name: str, cov: np.ndarray) -> linalg.CholFactor:
+    """linalg.cholesky(cov); a matrix it cannot factor names the parameter it is."""
+    try:
+        return linalg.cholesky(cov)
+    except NumericalError:
+        raise NumericalError(f"{name} is not positive definite") from None
 
 
 def _stack_factors(chols) -> tuple[np.ndarray, np.ndarray]:
@@ -100,11 +110,14 @@ class PosePrior:
     _forward_rows(xs) and reads it through _forward(xs), which keeps the
     last one-row pass with the row's bytes as one tuple in one attribute,
     so a concurrent query never pairs one row's key with another's pass.
-    Every one-row query reads and replaces it, a one-row batch included, so
-    a gradient at the point just valued reuses that value's pass; larger
-    batches neither read nor replace it. Every family is a frozen dataclass
-    over read-only arrays it owns, its derived state written once in
-    __post_init__, so that state and the memo always match its fields.
+    The pass holds all a gradient needs of the value: the VAE's layer
+    activations, the Gaussians' whitened residuals and log-joint, and a
+    mixture's log-sum-exp. Every one-row query reads and replaces it, a
+    one-row batch included, so a gradient at the point just valued reuses
+    that value's pass; larger batches neither read nor replace it. Every
+    family is a frozen dataclass over read-only arrays it owns, its derived
+    state written once in __post_init__, so that state and the memo always
+    match its fields.
     """
 
     PARAMS: dict[str, tuple[str, ...]] = {}
@@ -200,10 +213,12 @@ class PosePrior:
 class _GaussianRows(PosePrior):
     """Rows of a prior built from k Gaussian components (mu_i, L_i^-1, w_i).
 
-    The forward pass of a row is its k whitened residuals L_i^-1 (x - mu_i),
-    one stacked gemv per row, which a one-row value and every gradient row
-    read. Each gemv is the call a product of that row alone makes, so a
-    one-row value has the bits of such a product.
+    The forward pass of a row is its k whitened residuals w_i = L_i^-1 (x - mu_i),
+    one stacked gemv per row, and its k log-joints log N(x; mu_i, Sigma_i) + log w_i,
+    with |w_i|^2 taken by the einsum _gaussian_log_joint uses: the one formula of
+    the Mahalanobis form. A one-row value and every gradient row read it. Each
+    gemv is the call a product of that row alone makes, so a one-row value has
+    the bits of such a product.
     """
 
     def _set_components(self, means: np.ndarray, chols, log_w) -> None:
@@ -218,16 +233,16 @@ class _GaussianRows(PosePrior):
                           _log_w=log_w,
                           log_prob_bound=top + (len(peaks) - 1) * 1e-12 * (1.0 + abs(top)))
 
-    def _forward_rows(self, xs: np.ndarray) -> np.ndarray:
-        """(n, k, d) whitened residuals L_i^-1 (x - mu_i)."""
-        return np.matmul(self._inv, (xs[:, None] - self._means)[..., None])[..., 0]
+    def _forward_rows(self, xs: np.ndarray):
+        """(n, k, d) whitened residuals L_i^-1 (x - mu_i) and the (n, k) log-joint."""
+        w = np.matmul(self._inv, (xs[:, None] - self._means)[..., None])[..., 0]
+        return w, self._log_w - 0.5 * (self._log_norm + np.einsum("nkd,nkd->nk", w, w))
 
     def _log_joint_rows(self, xs: np.ndarray) -> np.ndarray:
         """(n, k) log N(x; mu_i, Sigma_i) + log w_i; a batch of several rows takes GEMMs."""
-        if len(xs) != 1:
-            return _gaussian_log_joint(xs, self._means, self._inv, self._log_det, self._log_w)
-        w = self._forward(xs)[0]
-        return self._log_w - 0.5 * (self._log_norm + np.einsum("nd,nd->n", w, w)[None])
+        if len(xs) == 1:
+            return self._forward(xs)[1]
+        return _gaussian_log_joint(xs, self._means, self._inv, self._log_det, self._log_w)
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +264,7 @@ class MvnModel(_GaussianRows):
     def __post_init__(self):
         self._convert_params()  # first, so a bad document fails naming its key
         vars(self)["cov"] = _owned(linalg.symmetrize(self.cov))
-        vars(self)["chol"] = linalg.cholesky(self.cov)
+        vars(self)["chol"] = _factor("cov", self.cov)
         self._set_components(self.mean[None], [self.chol], 0.0)
 
     @property
@@ -260,7 +275,7 @@ class MvnModel(_GaussianRows):
         return self._log_joint_rows(xs)[:, 0]
 
     def _grad_rows(self, xs: np.ndarray) -> np.ndarray:
-        return -np.matmul(self._forward(xs), self._inv)[:, 0]  # one gemv per row
+        return -np.matmul(self._forward(xs)[0], self._inv)[:, 0]  # one gemv per row
 
     def support_points(self, count: int, rng: np.random.Generator, h: float) -> np.ndarray:
         eps = rng.standard_normal((count, self.dim))
@@ -277,15 +292,24 @@ def mvn_from_moments(mean, cov, fit_meta=None) -> MvnModel:
     return model
 
 
+def _moments(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sample mean and unbiased covariance of rows x; a DataError, not a warning, if
+    the covariance overflows float64."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = x.mean(axis=0)
+        centered = x - mean
+        cov = centered.T @ centered / (x.shape[0] - 1)
+    if not np.isfinite(cov).all():
+        raise DataError("sample covariance overflows float64")
+    return mean, cov
+
+
 def fit_mvn(data) -> MvnModel:
     """Sample mean and unbiased covariance, factored with jitter escalation."""
     x = samples_of(data)
     if x.shape[0] < 2:
         raise ValueError("fit_mvn needs at least 2 samples")
-    mean = x.mean(axis=0)
-    centered = x - mean
-    cov = centered.T @ centered / (x.shape[0] - 1)
-    model = mvn_from_moments(mean, cov)
+    model = mvn_from_moments(*_moments(x))
     model.fit_meta["final_loglik"] = float(np.sum(model.log_prob_many(x)))
     return model
 
@@ -420,7 +444,7 @@ class GmmModel(_GaussianRows):
         # mixture loads back with the weights it was written with.
         if abs(total - 1.0) > self.weights.size * np.finfo(float).eps:
             vars(self)["weights"] = _owned(self.weights / total)
-        vars(self)["_chols"] = [linalg.cholesky(c) for c in self.covs]
+        vars(self)["_chols"] = [_factor(f"covs[{i}]", c) for i, c in enumerate(self.covs)]
         self._set_components(self.means, self._chols, np.log(self.weights))
 
     @property
@@ -431,15 +455,20 @@ class GmmModel(_GaussianRows):
     def dim(self) -> int:
         return self.means.shape[1]
 
+    def _forward_rows(self, xs: np.ndarray):
+        """The whitened residuals and log-joint, and each row's log-sum-exp: its value."""
+        w, log_joint = super()._forward_rows(xs)
+        return w, log_joint, _logsumexp(log_joint, axis=1)
+
     def _log_prob_rows(self, xs: np.ndarray) -> np.ndarray:
+        if len(xs) == 1:
+            return self._forward(xs)[2]
         return _logsumexp(self._log_joint_rows(xs), axis=1)
 
     def _whiten_rows(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(n, k) responsibilities and (n, k, d) whitened residuals L_i^-1 (x - mu_i)."""
-        w = self._forward(xs)
-        maha = np.matmul(w[..., None, :], w[..., None])[..., 0, 0]
-        log_joint = self._log_w - 0.5 * (self._log_norm + maha)
-        return np.exp(log_joint - _logsumexp(log_joint, axis=1)[:, None]), w
+        w, log_joint, lse = self._forward(xs)
+        return np.exp(log_joint - lse[:, None]), w
 
     def responsibilities(self, x) -> np.ndarray:
         return self._whiten_rows(_check_vec(x, self.dim)[None])[0][0]
@@ -507,8 +536,7 @@ def fit_gmm_em(data, k: int, seed: int = 0, reg: float = 1e-6, tol: float = 1e-8
         raise ValueError("fit_gmm_em needs at least 2 samples")
 
     rng = np.random.default_rng(seed)
-    centered = x - x.mean(axis=0)
-    global_cov = linalg.symmetrize(centered.T @ centered / (n - 1))
+    global_cov = linalg.symmetrize(_moments(x)[1])
 
     means = _kmeanspp_seeds(x, k, rng)
     weights = np.full(k, 1.0 / k)

@@ -54,9 +54,11 @@ def logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
 
 
 def gmm_whiten_components(gmm, chols, x: np.ndarray):
-    """Responsibilities at x and the k whitened residuals L_i^-1 (x - mu_i)."""
+    """Responsibilities at x and the k whitened residuals L_i^-1 (x - mu_i); each
+    Mahalanobis form is the squared norm gaussian_log_joint takes, by einsum."""
     whitened = [chol.inverse @ (x - mu) for mu, chol in zip(gmm.means, chols)]
-    log_joint = np.array([log_w - 0.5 * (gmm.dim * LOG_2PI + chol.log_det + w @ w)
+    log_joint = np.array([log_w - 0.5 * (gmm.dim * LOG_2PI + chol.log_det
+                                         + np.einsum("d,d->", w, w))
                           for log_w, chol, w in zip(np.log(gmm.weights), chols, whitened)])
     return np.exp(log_joint - logsumexp(log_joint, axis=0)), whitened
 
@@ -73,6 +75,18 @@ def gmm_support_points(gmm, chols, count: int, rng: np.random.Generator) -> np.n
     for row, i in enumerate(comps):
         points[row] = gmm.means[i] + chols[i].lower @ rng.standard_normal(gmm.dim)
     return points
+
+
+def finite_diff_stencil(xs: np.ndarray, h: float) -> np.ndarray:
+    """The stencil gradcheck built with np.repeat, np.tile and an in-place add."""
+    n, d = xs.shape
+    shifted = np.repeat(xs, 2 * d, axis=0)
+    offsets = np.zeros((2 * d, d))
+    idx = np.arange(d)
+    offsets[2 * idx, idx] = h
+    offsets[2 * idx + 1, idx] = -h
+    shifted += np.tile(offsets, (n, 1))
+    return shifted
 
 
 def worst_relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:

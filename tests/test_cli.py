@@ -759,9 +759,48 @@ def test_one_row_is_too_few_for_a_mixture(tmp_path, capsys):
 def test_covariance_overflow_is_data_error(tmp_path, capsys):
     path = tmp_path / "d.csv"
     path.write_text("# pose-csv v1\na,b\n1e200,0.0\n-1e200,1.0\n")
-    with pytest.warns(RuntimeWarning, match="overflow"):
-        assert main(["fit", "--model", "mvn", "--data", str(path)]) == 2
-    assert capsys.readouterr().err == "data error: matrix has non-finite entries\n"
+    assert main(["fit", "--model", "mvn", "--data", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"data error: {path}: sample covariance overflows float64\n"
+
+
+def test_mixture_covariance_overflow_is_data_error_naming_the_file(tmp_path, capsys):
+    """EM's global covariance is the normal's: the same error, and no RuntimeWarning."""
+    path = tmp_path / "d.csv"
+    path.write_text("# pose-csv v1\na,b\n1e200,0.0\n-1e200,1.0\n")
+    assert main(["fit", "--model", "gmm", "--data", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"data error: {path}: sample covariance overflows float64\n"
+
+
+@pytest.mark.parametrize("family, key", [("mvn", "cov"), ("gmm", "covs[0]"),
+                                         ("temporal_gmm", "covs[0]")])
+def test_covariance_not_positive_definite_in_a_document_is_data_error(
+        tmp_path, capsys, family, key):
+    doc = read_json(DATA_DIR / f"{family}.json")
+    name = key.split("[")[0]
+    dim = len(doc["params"][name][0])
+    minus_eye = (-np.eye(dim)).tolist()
+    doc["params"][name] = minus_eye if name == "cov" else [minus_eye, *doc["params"][name][1:]]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["grad-check", "--model", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"data error: {path}: malformed '{family}' model document: "
+                            f"{key} is not positive definite\n")
+
+
+def test_covariance_not_positive_definite_in_a_fit_stays_numerical_failure(tmp_path, capsys):
+    """Rows on one line at scale 1e100: no jitter makes their covariance definite."""
+    path = tmp_path / "d.csv"
+    path.write_text("# pose-csv v1\na,b\n1e100,1e100\n-1e100,-1e100\n3e99,3e99\n")
+    assert main(["fit", "--model", "mvn", "--data", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "numerical failure: cov is not positive definite\n"
 
 
 def test_em_fails_numerically_when_a_component_keeps_collapsing(workdir, capsys, monkeypatch):

@@ -284,6 +284,22 @@ class TestBitsAgainstPerComponentOracle:
             assert _bits(gmm.responsibilities(x)) == _bits(r)
             assert _bits(gmm.grad_log_prob(x)) == _bits(oracles.gmm_grad(gmm, chols, x))
 
+    @pytest.mark.parametrize("k", (1, 3, 5))
+    @pytest.mark.parametrize("n", BATCH_ROWS)
+    def test_gradient_rows_are_point_gradients_after_a_value(self, k, n):
+        """A batch's gradient row, the point gradient taken after a value at that
+        point (read from the value's memo) and the oracle's have the same bits;
+        the value has the value oracle's."""
+        gmm, rng = _mixture(66, k)
+        chols = [linalg.cholesky(c) for c in gmm.covs]
+        xs = _near_means(gmm, rng, n)
+        rows = gmm.grad_log_prob_many(xs)
+        for x, row in zip(xs, rows):
+            comp = oracles.gaussian_log_joint(x[None], gmm.means, chols, np.log(gmm.weights))
+            assert _bits(gmm.log_prob(x)) == _bits(oracles.logsumexp(comp, axis=1)[0])
+            point = gmm.grad_log_prob(x)
+            assert _bits(point) == _bits(row) == _bits(oracles.gmm_grad(gmm, chols, x))
+
     @pytest.mark.parametrize("d", (2, 66))
     def test_mvn_values(self, d):
         gmm, rng = _mixture(d, 1)
@@ -309,6 +325,40 @@ class TestBitsAgainstPerComponentOracle:
         monkeypatch.setattr(priors, "_logsumexp", oracles.logsumexp)
         oracle = fit_gmm_em(x, k, seed=2, max_iter=8)
         assert fitted == modelio.canonical_dumps(modelio.model_to_doc(oracle))
+
+
+def _count_logsumexp(monkeypatch) -> list:
+    calls, logsumexp = [], priors._logsumexp
+
+    def counted(a, axis):
+        calls.append(a.shape)
+        return logsumexp(a, axis)
+
+    monkeypatch.setattr(priors, "_logsumexp", counted)
+    return calls
+
+
+class TestPointMemo:
+    """A one-row forward pass holds the whitened residuals and the log-joint, and for a
+    mixture each row's log-sum-exp, so queries at the point just valued redo none."""
+
+    def test_mixture_value_gradient_and_responsibilities_take_one_logsumexp(self, monkeypatch):
+        gmm, rng = _mixture(66, 3)
+        calls = _count_logsumexp(monkeypatch)
+        x = _near_means(gmm, rng, 1)[0]
+        gmm.log_prob(x)
+        gmm.grad_log_prob(x)
+        gmm.responsibilities(x)
+        assert calls == [(1, 3)]
+
+    def test_normal_value_and_gradient_take_no_logsumexp(self, monkeypatch):
+        gmm, rng = _mixture(66, 1)
+        mvn = mvn_from_moments(gmm.means[0], gmm.covs[0])
+        calls = _count_logsumexp(monkeypatch)
+        x = _near_means(gmm, rng, 1)[0]
+        mvn.log_prob(x)
+        mvn.grad_log_prob(x)
+        assert calls == []
 
 
 # A fresh interpreter per BLAS thread count: OpenBLAS reads it once, when numpy loads it.

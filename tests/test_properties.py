@@ -27,7 +27,7 @@ from posepriors.priors import (
 )
 from posepriors.vae import VaeEnergyPrior, build_vae, vae_prior_energy
 
-from oracles import worst_relative_error
+from oracles import finite_diff_stencil, worst_relative_error
 
 D = 6
 PROPERTY = settings(max_examples=15, derandomize=True, deadline=None, database=None)
@@ -110,6 +110,17 @@ def test_max_relative_error_is_the_per_point_loop_bit_for_bit(name, seed):
     numeric = gradcheck._finite_diff_batch(prior, xs, 1e-5)
     assert (np.float64(max_relative_error(prior, xs)).tobytes()
             == np.float64(worst_relative_error(analytic, numeric)).tobytes())
+
+
+@pytest.mark.parametrize("name", sorted(PRIORS))
+@pytest.mark.parametrize("count", (1, 7, 100))
+def test_broadcast_stencil_is_the_repeat_and_tile_stencil_bit_for_bit(name, count, monkeypatch):
+    prior = PRIORS[name]
+    xs = sample_in_support(prior, count, count)
+    assert gradcheck._stencil(xs, 1e-5).tobytes() == finite_diff_stencil(xs, 1e-5).tobytes()
+    worst = np.float64(max_relative_error(prior, xs))
+    monkeypatch.setattr(gradcheck, "_stencil", finite_diff_stencil)
+    assert worst.tobytes() == np.float64(max_relative_error(prior, xs)).tobytes()
 
 
 def test_max_relative_error_reports_a_nan_gradient():
