@@ -104,15 +104,21 @@ _FITTERS = {
 }
 
 
+def _named(path, fit, *args):
+    """fit(*args); a DataError it raises is the loaded values' fault, not a flag's,
+    so it is raised again naming the file they came from."""
+    try:
+        return fit(*args)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
+
+
 def _cmd_fit(args) -> int:
     if args.model == "temporal-gmm":
         data = posedata.compute_deltas(posedata.load_sequence_csv(args.data))
     else:
         data = posedata.load_pose_csv(args.data)
-    try:
-        model = _FITTERS[args.model](data, args)
-    except DataError as exc:  # the loaded values are at fault, not a flag: name the file
-        raise DataError(f"{args.data}: {exc}") from None
+    model = _named(args.data, _FITTERS[args.model], data, args)
     _emit(modelio.model_to_doc(model), args.out)
     return 0
 
@@ -124,6 +130,12 @@ def _load_prior(path):
     return model
 
 
+def _check_dims(model, model_path, dim: int, data_path) -> None:
+    """A DataError naming both files unless the data's dim is the model's."""
+    if dim != model.dim:
+        raise DataError(f"{data_path} has dim {dim}, model {model_path} has dim {model.dim}")
+
+
 def _cmd_eval(args) -> int:
     model = _load_prior(args.model)
     if isinstance(model, priors.TemporalGmmModel):
@@ -131,6 +143,7 @@ def _cmd_eval(args) -> int:
         rows = priors.stack_deltas(posedata.compute_deltas(seq))
     else:
         rows = posedata.load_pose_csv(args.data).samples
+    _check_dims(model, args.model, rows.shape[1], args.data)
     per_sample = [float(v) for v in model.log_prob_many(rows)]
     report = {
         "per_sample_log_prob": per_sample,
@@ -150,7 +163,7 @@ def _cmd_analyze(args) -> int:
         rows = data.samples[np.sort(rng.choice(n, size=args.count, replace=False))]
     else:
         rows = data.samples
-    model = pca.fit_pca(rows, dims=dims)
+    model = _named(args.data, pca.fit_pca, rows, dims)
     scores = pca.reorient(model, rows if dims is None else rows[:, dims])[:, 0]
     normal = pca.fit_normal_1d(scores)
     hist = pca.histogram(scores, args.bins)
@@ -210,6 +223,7 @@ def _cmd_recover(args) -> int:
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{args.obs}: malformed observation ({exc})") from None
     prior = _load_prior(args.model)
+    _check_dims(prior, args.model, obs.dim, args.obs)
     result = recovery.recover_pose(
         obs, prior, args.lam, max_iter=args.max_iter, step=args.step, tol=args.tol
     )

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .posedata import samples_of
+from .posedata import sample_moments, samples_of
 
 SQRT2 = math.sqrt(2.0)
 
@@ -66,9 +66,8 @@ def fit_pca(data, dims=None) -> PcaModel:
         if any(d < 0 or d >= x.shape[1] for d in dims):
             raise ValueError("dims subset out of range")
         x = x[:, dims]
-    mean = x.mean(axis=0)
-    centered = x - mean
-    eig = linalg.eigh(centered.T @ centered / (x.shape[0] - 1))
+    mean, cov = sample_moments(x)
+    eig = linalg.eigh(cov)
     eigenvalues = eig.eigenvalues.copy()
     if np.any(eigenvalues < -1e-10):
         raise ValueError("covariance has a significantly negative eigenvalue")

@@ -17,8 +17,9 @@ and a pose or sequence CSV is written one block of rows at a time. The
 module also holds a seeded synthetic dataset generator that stands in for
 motion-capture corpora, Rodrigues conversion between flat axis-angle pose
 vectors and (J, 3, 3) rotation stacks (input checks here, the batched
-kernels in `rotations`), and the extraction of frame-to-frame motion
-deltas.
+kernels in `rotations`), the extraction of frame-to-frame motion
+deltas, and the sample moments the fitters and PCA share, with the check
+that turns a float64 overflow in them into a `DataError`.
 """
 
 from __future__ import annotations
@@ -100,6 +101,24 @@ def samples_of(data) -> np.ndarray:
     if x.ndim != 2:
         raise ValueError("expected a 2-D sample array or a PoseDataset")
     return x
+
+
+def check_no_overflow(what: str, *values) -> None:
+    """A DataError, "<what> overflows float64", unless every entry of values is
+    finite: the check after sample statistics taken under np.errstate."""
+    if not all(np.isfinite(v).all() for v in values):
+        raise DataError(f"{what} overflows float64")
+
+
+def sample_moments(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sample mean and unbiased covariance of rows x; a DataError, not a warning, if
+    the covariance overflows float64."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = x.mean(axis=0)
+        centered = x - mean
+        cov = centered.T @ centered / (x.shape[0] - 1)
+    check_no_overflow("sample covariance", cov)
+    return mean, cov
 
 
 @dataclass

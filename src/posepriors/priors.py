@@ -27,7 +27,7 @@ import numpy as np
 
 from . import linalg
 from .errors import DataError, NumericalError
-from .posedata import TemporalDelta, samples_of
+from .posedata import TemporalDelta, check_no_overflow, sample_moments, samples_of
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -84,6 +84,10 @@ def _gaussian_log_joint(xs: np.ndarray, means, inv, log_det, log_w) -> np.ndarra
 
 
 def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
+    if a.shape[1 - axis] == 1:  # one line, as a point query makes: its peak as a scalar
+        m = a.max()
+        if math.isfinite(m):
+            return np.log(np.exp(a - m).sum(axis=axis)) + m
     m = a.max(axis=axis, keepdims=True)
     if np.isfinite(m).all():  # every sum is then at least 1: no log(0)
         return np.log(np.exp(a - m).sum(axis=axis)) + m.squeeze(axis=axis)
@@ -292,24 +296,12 @@ def mvn_from_moments(mean, cov, fit_meta=None) -> MvnModel:
     return model
 
 
-def _moments(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sample mean and unbiased covariance of rows x; a DataError, not a warning, if
-    the covariance overflows float64."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        mean = x.mean(axis=0)
-        centered = x - mean
-        cov = centered.T @ centered / (x.shape[0] - 1)
-    if not np.isfinite(cov).all():
-        raise DataError("sample covariance overflows float64")
-    return mean, cov
-
-
 def fit_mvn(data) -> MvnModel:
     """Sample mean and unbiased covariance, factored with jitter escalation."""
     x = samples_of(data)
     if x.shape[0] < 2:
         raise ValueError("fit_mvn needs at least 2 samples")
-    model = mvn_from_moments(*_moments(x))
+    model = mvn_from_moments(*sample_moments(x))
     model.fit_meta["final_loglik"] = float(np.sum(model.log_prob_many(x)))
     return model
 
@@ -399,22 +391,25 @@ def fit_gamma(data, margin: float = 1e-6) -> GammaModel:
     n = x.shape[0]
     if n < 10:
         raise ValueError("fit_gamma needs at least 10 samples")
-    mean = x.mean(axis=0)
-    centered = x - mean
-    buf = centered**2  # one (n, d) buffer holds the square, the cube and then y
-    var_pop = np.mean(buf, axis=0)
-    if np.any(var_pop <= 0.0):
-        bad = int(np.argmax(var_pop <= 0.0))
-        raise ValueError(f"zero variance in dimension {bad}")
-    skew = np.mean(np.power(centered, 3, out=buf), axis=0) / var_pop**1.5
-    del centered
-    sign = np.where(skew >= 0.0, 1.0, -1.0)
-    shift = np.where(sign > 0.0, x.min(axis=0) - margin, x.max(axis=0) + margin)
-    y = np.multiply(sign, np.subtract(x, shift, out=buf), out=buf)
-    my = y.mean(axis=0)
-    vy = y.var(axis=0, ddof=1)
-    alpha = my**2 / vy
-    beta = my / vy
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below, as sample_moments does
+        mean = x.mean(axis=0)
+        centered = x - mean
+        buf = centered**2  # one (n, d) buffer holds the square, the cube and then y
+        var_pop = np.mean(buf, axis=0)
+        if np.any(var_pop <= 0.0):
+            bad = int(np.argmax(var_pop <= 0.0))
+            raise ValueError(f"zero variance in dimension {bad}")
+        third = np.mean(np.power(centered, 3, out=buf), axis=0)
+        spread = var_pop**1.5
+        del centered
+        sign = np.where(third / spread >= 0.0, 1.0, -1.0)  # the sign of the skewness
+        shift = np.where(sign > 0.0, x.min(axis=0) - margin, x.max(axis=0) + margin)
+        y = np.multiply(sign, np.subtract(x, shift, out=buf), out=buf)
+        my = y.mean(axis=0)
+        vy = y.var(axis=0, ddof=1)
+        alpha = my**2 / vy
+        beta = my / vy
+    check_no_overflow("a sample moment", third, spread, vy, alpha)
     return GammaModel(alpha=alpha, beta=beta, sign=sign, shift=shift)
 
 
@@ -536,7 +531,7 @@ def fit_gmm_em(data, k: int, seed: int = 0, reg: float = 1e-6, tol: float = 1e-8
         raise ValueError("fit_gmm_em needs at least 2 samples")
 
     rng = np.random.default_rng(seed)
-    global_cov = linalg.symmetrize(_moments(x)[1])
+    global_cov = linalg.symmetrize(sample_moments(x)[1])
 
     means = _kmeanspp_seeds(x, k, rng)
     weights = np.full(k, 1.0 / k)

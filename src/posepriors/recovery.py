@@ -70,8 +70,9 @@ class RecoveryResult:
     grad_inf_norm: float
 
 
-def _initial_point(obs: Observation, prior, objective) -> tuple[np.ndarray, float]:
-    """The observation with free dims from the prior's mode, and its objective.
+def _initial_point(obs: Observation, prior, objective) -> tuple[np.ndarray, float, np.ndarray]:
+    """The observation with free dims from the prior's mode, and what `objective`
+    returns there: its objective and masked residual.
 
     If the prior gives that point zero probability (infinite objective), the
     free dims retry from the prior's mean.
@@ -80,13 +81,13 @@ def _initial_point(obs: Observation, prior, objective) -> tuple[np.ndarray, floa
     free = ~obs.mask
     if np.any(free):
         x[free] = prior.mode()[free]
-    fx = objective(x)
+    fx, r = objective(x)
     if fx == math.inf and np.any(free):
         x[free] = prior.mean_vector()[free]
-        fx = objective(x)
+        fx, r = objective(x)
     if fx == math.inf:
         raise NumericalError("prior assigns zero probability at every initialization")
-    return x, fx
+    return x, fx, r
 
 
 def _lbfgs_direction(g: np.ndarray, pairs) -> np.ndarray:
@@ -98,12 +99,12 @@ def _lbfgs_direction(g: np.ndarray, pairs) -> np.ndarray:
     q = g.copy()
     alphas = []
     for s, y, rho in reversed(pairs):
-        alphas.append(rho * float(s @ q))
+        alphas.append(rho * s.dot(q))
         q -= alphas[-1] * y
     s, y, _ = pairs[-1]
-    q *= float(s @ y) / float(y @ y)
+    q *= s.dot(y) / y.dot(y)
     for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
-        q += (alpha - rho * float(y @ q)) * s
+        q += (alpha - rho * y.dot(q)) * s
     return -q
 
 
@@ -125,7 +126,9 @@ def recover_pose(obs: Observation, prior, lam: float, max_iter: int = 500,
     VAE energy, the peak value for the Gaussians, inf for gamma) is already
     at least the current objective: no prior value can make it a decrease,
     so the same trial is rejected as with the call, every output bit is
-    the same, and only fewer log_prob calls are made.
+    the same, and only fewer log_prob calls are made. A trial point forms
+    its masked residual once; the gradient at the accepted point reads its
+    data term from that residual.
     The run stops when the gradient infinity-norm drops below tol
     ("grad_tol"), when no halving decreases the objective ("stalled") or
     when the budget runs out ("max_iter"); see `RecoveryResult`.
@@ -139,55 +142,59 @@ def recover_pose(obs: Observation, prior, lam: float, max_iter: int = 500,
 
     inv_var = 1.0 / (obs.noise_sigma**2)
     mask = obs.mask
+    observed = obs.values[mask]
     bound = prior.log_prob_bound
 
-    def objective(x: np.ndarray, ceiling: float = math.inf) -> float:
+    def objective(x: np.ndarray, ceiling: float = math.inf):
         """The objective at x, or inf without a prior call where the data term
-        and log_prob_bound show it is not below ceiling."""
+        and log_prob_bound show it is not below ceiling; and the masked
+        residual x[mask] - observed (None where x overflowed)."""
         if not np.isfinite(x).all():  # a trial step that overflowed
-            return float("inf")
-        data = 0.5 * inv_var * float(np.sum((x[mask] - obs.values[mask]) ** 2))
+            return math.inf, None
+        r = x[mask] - observed
+        data = 0.5 * inv_var * float((r**2).sum())
         if lam == 0.0:
-            return data
+            return data, r
         if data - lam * bound >= ceiling:  # rounding is monotone: data - lam * lp is too
-            return float("inf")
+            return math.inf, r
         lp = prior.log_prob(x)
-        if lp == float("-inf"):
-            return float("inf")
-        return data - lam * lp
+        if lp == -math.inf:
+            return math.inf, r
+        return data - lam * lp, r
 
-    def gradient(x: np.ndarray) -> np.ndarray:
-        g = np.zeros_like(x)
-        g[mask] = inv_var * (x[mask] - obs.values[mask])
+    def gradient(x: np.ndarray, r: np.ndarray) -> np.ndarray:
+        """The objective's gradient at x, whose masked residual is r."""
+        g = np.zeros(x.shape[0])
+        g[mask] = inv_var * r
         if lam > 0.0:
             g -= lam * prior.grad_log_prob(x)
         return g
 
-    x, fx = _initial_point(obs, prior, objective)
+    x, fx, r = _initial_point(obs, prior, objective)
     trace = [fx]
     pairs = deque(maxlen=_MEMORY)
     s = g_prev = None
     stop_reason = "max_iter"
     for iterations in range(1, max_iter + 1):
-        g = gradient(x)
-        grad_inf_norm = float(np.max(np.abs(g)))
+        g = gradient(x, r)
+        grad_inf_norm = float(np.abs(g).max())
         if grad_inf_norm < tol:
             stop_reason = "grad_tol"
             break
         if s is not None:
             y = g - g_prev
-            sy = float(s @ y)
-            if sy > 1e-12 * float(np.linalg.norm(s)) * float(np.linalg.norm(y)):
+            sy = float(s.dot(y))
+            if sy > 1e-12 * math.sqrt(s.dot(s)) * math.sqrt(y.dot(y)):
                 pairs.append((s, y, 1.0 / sy))
         d = _lbfgs_direction(g, pairs) if pairs else None
-        if d is None or float(g @ d) >= 0.0:
+        if d is None or g.dot(d) >= 0.0:
             pairs.clear()
             d, t = -g, step
         else:
             t = 1.0
         for _ in range(_MAX_HALVINGS + 1):
             candidate = x + t * d
-            fc = objective(candidate, fx)
+            fc, rc = objective(candidate, fx)
             if fc < fx:
                 break
             t /= 2.0
@@ -195,7 +202,7 @@ def recover_pose(obs: Observation, prior, lam: float, max_iter: int = 500,
             stop_reason = "stalled"
             break
         s, g_prev = candidate - x, g
-        x, fx = candidate, fc
+        x, fx, r = candidate, fc, rc
         trace.append(fx)
     return RecoveryResult(
         estimate=x, objective_trace=trace, iterations_used=iterations,

@@ -1,10 +1,12 @@
 """Reference implementations that tests compare the library against."""
 
 import math
+from collections import deque
 
 import numpy as np
 
-from posepriors import rotations
+from posepriors import recovery, rotations
+from posepriors.errors import NumericalError
 from posepriors.vae import TrainConfig
 
 
@@ -129,6 +131,124 @@ class Optimizer:
             vb[:] = b2 * vb + (1 - b2) * db**2
             layer.weight -= lr * (mw / corr1) / (np.sqrt(vw / corr2) + eps)
             layer.bias -= lr * (mb / corr1) / (np.sqrt(vb / corr2) + eps)
+
+
+# The recovery loop and its helpers as recovery.py ran them before each trial
+# point's masked residual was formed once and the norms and dot products were
+# taken by ndarray methods: recover_pose must keep every output bit of this.
+def initial_point(obs: recovery.Observation, prior, objective) -> tuple[np.ndarray, float]:
+    """The observation with free dims from the prior's mode, and its objective.
+
+    If the prior gives that point zero probability (infinite objective), the
+    free dims retry from the prior's mean.
+    """
+    x = obs.values.copy()
+    free = ~obs.mask
+    if np.any(free):
+        x[free] = prior.mode()[free]
+    fx = objective(x)
+    if fx == math.inf and np.any(free):
+        x[free] = prior.mean_vector()[free]
+        fx = objective(x)
+    if fx == math.inf:
+        raise NumericalError("prior assigns zero probability at every initialization")
+    return x, fx
+
+
+def lbfgs_direction(g: np.ndarray, pairs) -> np.ndarray:
+    """-H g by the two-loop recursion over (s, y, 1 / s.y) pairs, oldest first.
+
+    The initial inverse Hessian is s.y / y.y times the identity, from the
+    newest pair.
+    """
+    q = g.copy()
+    alphas = []
+    for s, y, rho in reversed(pairs):
+        alphas.append(rho * float(s @ q))
+        q -= alphas[-1] * y
+    s, y, _ = pairs[-1]
+    q *= float(s @ y) / float(y @ y)
+    for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
+        q += (alpha - rho * float(y @ q)) * s
+    return -q
+
+
+def recover_pose(obs: recovery.Observation, prior, lam: float, max_iter: int = 500,
+                 step: float = 1.0, tol: float = 1e-6) -> recovery.RecoveryResult:
+    """The L-BFGS loop recovery.recover_pose ran before it formed each trial's
+    masked residual once; see that function for the contract."""
+    if not 0.0 <= lam < math.inf:
+        raise ValueError("lam must be finite and non-negative")
+    if prior.dim != obs.dim:
+        raise ValueError(f"prior dim {prior.dim} does not match observation dim {obs.dim}")
+    if max_iter < 1 or not (0.0 < step < math.inf and 0.0 < tol < math.inf):
+        raise ValueError("invalid optimizer configuration")
+
+    inv_var = 1.0 / (obs.noise_sigma**2)
+    mask = obs.mask
+    bound = prior.log_prob_bound
+
+    def objective(x: np.ndarray, ceiling: float = math.inf) -> float:
+        """The objective at x, or inf without a prior call where the data term
+        and log_prob_bound show it is not below ceiling."""
+        if not np.isfinite(x).all():  # a trial step that overflowed
+            return float("inf")
+        data = 0.5 * inv_var * float(np.sum((x[mask] - obs.values[mask]) ** 2))
+        if lam == 0.0:
+            return data
+        if data - lam * bound >= ceiling:  # rounding is monotone: data - lam * lp is too
+            return float("inf")
+        lp = prior.log_prob(x)
+        if lp == float("-inf"):
+            return float("inf")
+        return data - lam * lp
+
+    def gradient(x: np.ndarray) -> np.ndarray:
+        g = np.zeros_like(x)
+        g[mask] = inv_var * (x[mask] - obs.values[mask])
+        if lam > 0.0:
+            g -= lam * prior.grad_log_prob(x)
+        return g
+
+    x, fx = initial_point(obs, prior, objective)
+    trace = [fx]
+    pairs = deque(maxlen=recovery._MEMORY)
+    s = g_prev = None
+    stop_reason = "max_iter"
+    for iterations in range(1, max_iter + 1):
+        g = gradient(x)
+        grad_inf_norm = float(np.max(np.abs(g)))
+        if grad_inf_norm < tol:
+            stop_reason = "grad_tol"
+            break
+        if s is not None:
+            y = g - g_prev
+            sy = float(s @ y)
+            if sy > 1e-12 * float(np.linalg.norm(s)) * float(np.linalg.norm(y)):
+                pairs.append((s, y, 1.0 / sy))
+        d = lbfgs_direction(g, pairs) if pairs else None
+        if d is None or float(g @ d) >= 0.0:
+            pairs.clear()
+            d, t = -g, step
+        else:
+            t = 1.0
+        for _ in range(recovery._MAX_HALVINGS + 1):
+            candidate = x + t * d
+            fc = objective(candidate, fx)
+            if fc < fx:
+                break
+            t /= 2.0
+        else:
+            stop_reason = "stalled"
+            break
+        s, g_prev = candidate - x, g
+        x, fx = candidate, fc
+        trace.append(fx)
+    return recovery.RecoveryResult(
+        estimate=x, objective_trace=trace, iterations_used=iterations,
+        converged=stop_reason == "grad_tol", stop_reason=stop_reason,
+        grad_inf_norm=grad_inf_norm,
+    )
 
 
 # Reference forms of exp, exp_vjp and det3_grad through np.cross, with

@@ -756,13 +756,19 @@ def test_one_row_is_too_few_for_a_mixture(tmp_path, capsys):
     assert capsys.readouterr().err == "data error: fit_gmm_em needs at least 2 samples\n"
 
 
-def test_covariance_overflow_is_data_error(tmp_path, capsys):
+@pytest.mark.parametrize("argv, what", [(["fit", "--model", "mvn"], "sample covariance"),
+                                        (["fit", "--model", "gamma"], "a sample moment"),
+                                        (["analyze"], "sample covariance")],
+                         ids=["fit-mvn", "fit-gamma", "analyze"])
+def test_covariance_overflow_is_data_error(tmp_path, capsys, argv, what):
+    """Rows of +-1e200: the message names the file and the overflow; a RuntimeWarning
+    would fail the test, since warnings are errors here."""
     path = tmp_path / "d.csv"
-    path.write_text("# pose-csv v1\na,b\n1e200,0.0\n-1e200,1.0\n")
-    assert main(["fit", "--model", "mvn", "--data", str(path)]) == 2
+    path.write_text("# pose-csv v1\na,b\n" + "1e200,0.0\n-1e200,1.0\n" * 6)
+    assert main([*argv, "--data", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"data error: {path}: sample covariance overflows float64\n"
+    assert captured.err == f"data error: {path}: {what} overflows float64\n"
 
 
 def test_mixture_covariance_overflow_is_data_error_naming_the_file(tmp_path, capsys):
@@ -773,6 +779,27 @@ def test_mixture_covariance_overflow_is_data_error_naming_the_file(tmp_path, cap
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"data error: {path}: sample covariance overflows float64\n"
+
+
+@pytest.mark.parametrize("command", ["recover", "eval"])
+def test_dimension_mismatch_is_data_error_naming_both_files(workdir, capsys, command):
+    model = workdir / "m.json"
+    assert main(["fit", "--model", "mvn", "--data", str(workdir / "d.csv"),
+                 "--out", str(model)]) == 0
+    dim = read_json(model)["dim"]
+    if command == "recover":
+        data = workdir / "obs.json"
+        data.write_text(json.dumps({"values": [0.1] * (dim - 1), "noise_sigma": 0.3}))
+        argv, wrong = ["recover", "--obs", str(data)], dim - 1
+    else:
+        data = workdir / "wide.csv"
+        data.write_text("# pose-csv v1\n" + ",".join(f"c{i}" for i in range(66)) + "\n"
+                        + ("0.0," * 65 + "0.0\n") * 16)
+        argv, wrong = ["eval", "--data", str(data)], 66
+    assert main([*argv, "--model", str(model)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"data error: {data} has dim {wrong}, model {model} has dim {dim}\n"
 
 
 @pytest.mark.parametrize("family, key", [("mvn", "cov"), ("gmm", "covs[0]"),

@@ -1,3 +1,4 @@
+import copy
 import math
 import os
 import subprocess
@@ -7,6 +8,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import posepriors
 from posepriors import linalg, modelio, priors
@@ -272,6 +275,27 @@ class TestBitsAgainstPerComponentOracle:
             got = priors._logsumexp(rows, axis=1)
             assert _bits(got) == _bits(oracles.logsumexp(rows, axis=1))
         assert priors._logsumexp(a[:1], axis=1)[0] == -inf
+
+    @settings(max_examples=200, derandomize=True, deadline=None, database=None)
+    @given(st.sampled_from([1, 3, 5]).flatmap(lambda k: st.lists(
+        st.one_of(st.floats(-800.0, 50.0), st.just(-math.inf)), min_size=k, max_size=k)))
+    def test_one_row_logsumexp_is_the_general_path(self, row):
+        """A point query's one-row path, with its scalar peak, has the bits of the
+        general path: that row within a batch, and the oracle's."""
+        a = np.array([row])
+        got = priors._logsumexp(a, axis=1)
+        assert got.shape == (1,)
+        assert _bits(got) == _bits(priors._logsumexp(np.vstack([a, a]), axis=1)[:1])
+        assert _bits(got) == _bits(oracles.logsumexp(a, axis=1))
+
+    @pytest.mark.parametrize("k", (1, 3, 5))
+    def test_log_prob_bound_keeps_its_bits(self, k, monkeypatch):
+        gmm, _ = _mixture(66, k)
+        mvn = mvn_from_moments(gmm.means[0], gmm.covs[0])
+        got = (gmm.log_prob_bound, mvn.log_prob_bound)
+        monkeypatch.setattr(priors, "_logsumexp", oracles.logsumexp)
+        rebuilt = (copy.deepcopy(gmm).log_prob_bound, copy.deepcopy(mvn).log_prob_bound)
+        assert _bits(got) == _bits(rebuilt)
 
     @pytest.mark.parametrize("d,k", MIXTURES)
     def test_point_queries(self, d, k):

@@ -12,6 +12,8 @@ from posepriors.priors import BoxLimitModel, GammaModel, GmmModel, PosePrior, mv
 from posepriors.recovery import Observation, recover_pose
 from posepriors.vae import VaeEnergyPrior, build_vae
 
+import oracles
+
 
 def make_mvn(rng, dim=6, scale=0.3):
     b = rng.standard_normal((dim, dim)) * scale
@@ -323,6 +325,85 @@ def test_log_prob_bound_changes_no_output_bit(case):
     assert got.stop_reason == ("stalled" if case == "oracle-1e-9" else "grad_tol")
     assert calls < unbounded_calls
 
+
+
+def _saddle_problem():
+    """TestCurvatureSafeguard's problem: two narrow components with the observation
+    between them, where steps see negative curvature and pairs are rejected."""
+    rng = np.random.default_rng(9)
+    means = rng.normal(0.0, 1.0, (2, 2))
+    covs = np.stack([np.diag(rng.uniform(0.02, 0.1, 2)) for _ in range(2)])
+    prior = GmmModel(weights=[0.5, 0.5], means=means, covs=covs)
+    obs = Observation(values=0.5 * means.sum(axis=0) + rng.normal(0.0, 0.1, 2), noise_sigma=0.5)
+    return obs, prior
+
+
+def _oracle_problems():
+    """(obs, prior) per family: every dim observed, and a joint's dims left free."""
+    rng = np.random.default_rng(29)
+    problems = {}
+
+    def add(name, prior, values, sigma):
+        mask = np.arange(prior.dim) // 3 != 1
+        problems[f"{name}-full"] = (Observation(values, sigma), prior)
+        problems[f"{name}-partial"] = (Observation(values, sigma, mask), prior)
+
+    mvn = make_mvn(rng, dim=9)
+    add("mvn", mvn, mvn.mean + rng.normal(0.0, 0.5, 9), 0.3)
+    for k in (1, 3):
+        gmm = GmmModel(weights=np.arange(1.0, k + 1.0) / (k * (k + 1) / 2),
+                       means=rng.normal(0.0, 1.0, (k, 12)),
+                       covs=np.stack([0.1 * np.eye(12) + 0.02 * np.ones((12, 12))] * k))
+        add(f"gmm{k}", gmm, gmm.means[0] + rng.normal(0.0, 0.3, 12), 0.2)
+    sign = np.where(rng.random(6) < 0.5, 1.0, -1.0)
+    gamma = GammaModel(alpha=rng.uniform(1.5, 4.0, 6), beta=rng.uniform(0.5, 3.0, 6),
+                       sign=sign, shift=rng.uniform(-0.5, 0.5, 6))
+    add("gamma", gamma, gamma.shift + sign * rng.uniform(0.1, 2.0, 6), 0.5)
+    box = BoxLimitModel(lo=-0.5 * np.ones(6), hi=np.linspace(0.1, 1.0, 6), stiffness=20.0)
+    add("box", box, rng.normal(0.0, 1.5, 6), 0.3)
+    vae = VaeEnergyPrior(build_vae(n_joints=4, latent_dim=2, hidden=(8,), seed=3))
+    add("vae", vae, rng.normal(0.0, 0.5, 12), 0.2)
+    return problems
+
+
+def _oracle_runs():
+    """(obs, prior, recover_pose keywords, the stop reason asserted or None) per run."""
+    problems = _oracle_problems()
+    runs = {f"{name}-{tol:g}": (obs, prior, dict(lam=1.0, tol=tol), None)
+            for name, (obs, prior) in problems.items() for tol in (1e-3, 1e-9)}
+    obs, prior = oracle_66()
+    runs["oracle-66-grad_tol"] = (obs, prior, dict(lam=1.0, tol=1e-3), "grad_tol")
+    runs["oracle-66-stalled"] = (obs, prior, dict(lam=1.0, max_iter=20000, tol=1e-9), "stalled")
+    runs["oracle-66-max_iter"] = (obs, prior, dict(lam=1.0, max_iter=7, tol=1e-9), "max_iter")
+    runs["saddle-gmm"] = (*_saddle_problem(), dict(lam=1.0), None)
+    obs, prior = problems["gmm3-partial"]
+    runs["gmm3-partial-lam0"] = (obs, prior, dict(lam=0.0), "grad_tol")
+    runs["gmm3-partial-lam4-step0.1"] = (obs, prior, dict(lam=4.0, step=0.1, tol=1e-9), None)
+    return runs
+
+
+ORACLE_RUNS = _oracle_runs()
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("case", ORACLE_RUNS)
+def test_loop_keeps_every_bit_of_the_oracle_loop(case):
+    # tests/oracles.py holds the loop as it was before each trial's masked residual
+    # was formed once; the same prior calls must give the same bits.
+    obs, prior, kwargs, stop = ORACLE_RUNS[case]
+    got_prior, want_prior = CountingPrior(copy.deepcopy(prior)), CountingPrior(copy.deepcopy(prior))
+    got = recover_pose(obs, got_prior, **kwargs)
+    want = oracles.recover_pose(obs, want_prior, **kwargs)
+    assert _bits(got.estimate) == _bits(want.estimate)
+    assert _bits(got.objective_trace) == _bits(want.objective_trace)
+    assert _bits(got.grad_inf_norm) == _bits(want.grad_inf_norm)
+    assert (got.iterations_used, got.stop_reason) == (want.iterations_used, want.stop_reason)
+    assert ((got_prior.log_prob_calls, got_prior.grad_calls)
+            == (want_prior.log_prob_calls, want_prior.grad_calls))
+    assert stop in (None, got.stop_reason)
 
 class TestCurvatureSafeguard:
     def test_pairs_without_positive_curvature_are_rejected(self, monkeypatch):
